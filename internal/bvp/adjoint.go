@@ -7,8 +7,8 @@
 //
 //	dJ/dθ = ∂J/∂θ + λᵀ·(dr/dθ − dS/dθ·u),   Sᵀ·λ = ∂J/∂u,
 //
-// so one transposed solve with the factorization already held by the
-// workspace replaces a full re-solve per parameter. The methods below
+// so one transposed solve with the staircase factorization already held by
+// the workspace replaces a full re-solve per parameter. The methods below
 // expose exactly the pieces a caller needs: the unknown layout
 // (InterfaceState), the transposed solve (AdjointSolve) and the assembled
 // directional term λᵀ·d(S·u − r)/dθ (GradientTerm). All of them read the
@@ -42,7 +42,9 @@ func (ws *Workspace) InterfaceState(i int) mat.Vec {
 // respect to interval i's initial state, holding the other intervals fixed
 // — for i = 0 … m−1. The i = 0 entry is projected onto the unknown inlet
 // parameters through the X0Modes of the solved problem. The returned
-// vector is workspace-owned.
+// vector is workspace-owned, and a warm workspace allocates nothing.
+//
+//chanmod:noalloc
 func (ws *Workspace) AdjointSolve(gx []mat.Vec) (mat.Vec, error) {
 	if !ws.solved {
 		return nil, fmt.Errorf("bvp: AdjointSolve before a successful SolveWS")
@@ -60,11 +62,8 @@ func (ws *Workspace) AdjointSolve(gx []mat.Vec) (mat.Vec, error) {
 		copy(g[ws.nU+(i-1)*ws.dim:], gx[i][:ws.dim])
 	}
 	ws.lam = growVec(ws.lam, nUnk)
-	lam, err := ws.lu.SolveTransposed(ws.lam, g)
-	if err != nil {
-		return nil, fmt.Errorf("bvp: adjoint solve: %w", err)
-	}
-	return lam, nil
+	ws.sys.solveTransposed(ws.lam, g)
+	return ws.lam, nil
 }
 
 // GradientTerm returns λᵀ·d(S·u − r)/dθ for the last solve, given the

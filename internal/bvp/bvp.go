@@ -14,9 +14,18 @@
 // terminal-condition matrix is numerically singular. The solver therefore
 // uses MULTIPLE SHOOTING: the domain is split into m intervals, the full
 // state at each interior interface joins the unknowns, and continuity plus
-// boundary conditions form one dense linear system. Because the ODE is
-// linear, each interval's transition map is computed exactly (up to RK4
-// error) by propagating a basis, and no Newton iteration is needed.
+// boundary conditions form one linear system. Because the ODE is linear,
+// each interval's transition map is computed exactly (up to RK4 error) by
+// propagating a basis, and no Newton iteration is needed.
+//
+// The system is a staircase: each continuity row touches only the states
+// at the two ends of its interval (the first interval also the inlet
+// parameters), and the terminal rows only the last interface state. It is
+// factored by partial-pivoting elimination over each row's column window
+// (stair.go), which picks the pivots of a dense LU and performs its
+// arithmetic on every entry that is not a structural zero, so solutions
+// equal a dense mat.LU solve's under == at a cost linear in the number of
+// intervals.
 //
 // Integration is delegated to a caller-supplied Propagate function so that
 // models with piecewise-constant coefficients (modulated channel widths,
@@ -91,10 +100,11 @@ type Problem struct {
 	Transition TransitionFunc
 }
 
-// Workspace carries the reusable scratch of a shooting solve: the dense
-// system, its factorization, interface grids and the reconstructed
-// trajectory. A zero value is ready to use. Reusing one workspace across
-// repeated same-shaped solves eliminates nearly all solver allocations.
+// Workspace carries the reusable scratch of a shooting solve: the
+// staircase system factored in place, interface grids and the
+// reconstructed trajectory. A zero value is ready to use. Reusing one
+// workspace across repeated same-shaped solves eliminates nearly all
+// solver allocations.
 // A workspace must not be shared between concurrent solves, and the
 // Trajectory of a returned Solution points into the workspace — it is
 // invalidated by the next SolveWS call with the same workspace.
@@ -102,14 +112,12 @@ type Workspace struct {
 	phis   []*mat.Dense // per-interval transition matrices (borrowed or owned)
 	psis   []mat.Vec    // per-interval particular terms (borrowed or owned)
 	zs     []float64    // uniform interface grid (when Interfaces unset)
-	sys    *mat.Dense   // dense multiple-shooting system
+	sys    staircase    // multiple-shooting system, factored in place
 	rhs    mat.Vec
 	u      mat.Vec // solved unknowns
 	basis  mat.Vec
 	m0base mat.Vec
-	work   mat.Vec // LU scratch
-	x0     mat.Vec // reconstructed initial state
-	lu     mat.LU
+	x0     mat.Vec      // reconstructed initial state
 	traj   ode.Solution // stitched reconstruction trajectory
 
 	// Snapshot of the last successful SolveWS, consumed by the adjoint
@@ -250,10 +258,14 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 		trans[i] = mi
 	}
 
-	// Unknowns u = [p (nU); x_1 ... x_{m-1} (dim each)].
+	// Unknowns u = [p (nU); x_1 ... x_{m-1} (dim each)]. Each row is
+	// assembled over its window of columns: the inlet parameters and x_1
+	// up to the row's −1 for interval 0, x_i up to the −1 in x_{i+1} for
+	// interval i, x_{m-1} for the terminal rows. Entries are added onto
+	// the zeroed window, as onto a zeroed dense matrix.
 	nUnk := nU + (m-1)*dim
-	sys := mat.ReshapeDense(ws.sys, nUnk, nUnk)
-	ws.sys = sys
+	sys := &ws.sys
+	sys.reset(nUnk, 2*dim)
 	ws.rhs = growVec(ws.rhs, nUnk)
 	rhs := ws.rhs
 	xOff := func(i int) int { return nU + (i-1)*dim } // offset of x_i, i>=1
@@ -265,33 +277,39 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 	m0base := trans[0].MulVec(ws.m0base, p.X0Base)
 	if m > 1 {
 		for r := 0; r < dim; r++ {
+			w := sys.addRow(0, xOff(1)+r+1)
+			phi := trans[0].Row(r)
 			for k := 0; k < nU; k++ {
 				// column p_k: (M_0·mode_k)[r]
 				var s float64
 				for c := 0; c < dim; c++ {
-					s += trans[0].At(r, c) * p.X0Modes[k][c]
+					s += phi[c] * p.X0Modes[k][c]
 				}
-				sys.Set(row, k, s)
+				w[k] = s
 			}
-			sys.Set(row, xOff(1)+r, -1)
+			w[xOff(1)+r] = -1
 			rhs[row] = -m0base[r] - parts[0][r]
 			row++
 		}
 		// Continuity of intervals 1..m-2: M_i·x_i − x_{i+1} = −c_i.
 		for i := 1; i < m-1; i++ {
+			lo := xOff(i)
 			for r := 0; r < dim; r++ {
-				for c := 0; c < dim; c++ {
-					sys.Add(row, xOff(i)+c, trans[i].At(r, c))
+				w := sys.addRow(lo, xOff(i+1)+r+1)
+				for c, v := range trans[i].Row(r)[:dim] {
+					w[c] += v
 				}
-				sys.Set(row, xOff(i+1)+r, -1)
+				w[xOff(i+1)+r-lo] = -1
 				rhs[row] = -parts[i][r]
 				row++
 			}
 		}
 		// Terminal rows: (M_{m-1}·x_{m-1} + c_{m-1})[idx] = 0.
+		lo := xOff(m - 1)
 		for _, idx := range p.TerminalZero {
-			for c := 0; c < dim; c++ {
-				sys.Add(row, xOff(m-1)+c, trans[m-1].At(idx, c))
+			w := sys.addRow(lo, lo+dim)
+			for c, v := range trans[m-1].Row(idx)[:dim] {
+				w[c] += v
 			}
 			rhs[row] = -parts[m-1][idx]
 			row++
@@ -299,12 +317,14 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 	} else {
 		// Single interval: terminal conditions directly on the parameters.
 		for _, idx := range p.TerminalZero {
+			w := sys.addRow(0, nU)
+			phi := trans[0].Row(idx)
 			for k := 0; k < nU; k++ {
 				var s float64
 				for c := 0; c < dim; c++ {
-					s += trans[0].At(idx, c) * p.X0Modes[k][c]
+					s += phi[c] * p.X0Modes[k][c]
 				}
-				sys.Set(row, k, s)
+				w[k] = s
 			}
 			rhs[row] = -m0base[idx] - parts[0][idx]
 			row++
@@ -314,15 +334,12 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 		return nil, fmt.Errorf("bvp: internal row count %d != %d", row, nUnk)
 	}
 
-	if err := ws.lu.Refactorize(sys); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsolvable, err)
+	if err := sys.factor(); err != nil {
+		return nil, err
 	}
 	ws.u = growVec(ws.u, nUnk)
-	ws.work = growVec(ws.work, nUnk)
-	u, err := ws.lu.SolveWS(ws.u, rhs, ws.work)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsolvable, err)
-	}
+	u := ws.u
+	sys.solve(u, rhs)
 
 	params := u[:nU].Clone()
 
@@ -411,9 +428,14 @@ func validate(p *Problem) error {
 			return fmt.Errorf("bvp: X0Modes[%d] length %d, want %d", k, len(mode), p.Dim)
 		}
 	}
-	for _, idx := range p.TerminalZero {
+	for j, idx := range p.TerminalZero {
 		if idx < 0 || idx >= p.Dim {
 			return fmt.Errorf("bvp: terminal index %d outside state of dim %d", idx, p.Dim)
+		}
+		for _, prev := range p.TerminalZero[:j] {
+			if prev == idx {
+				return fmt.Errorf("bvp: terminal index %d listed twice", idx)
+			}
 		}
 	}
 	return nil

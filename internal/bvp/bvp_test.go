@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -188,6 +189,15 @@ func TestSolveValidation(t *testing.T) {
 	bad.TerminalZero = nil
 	if _, err := Solve(&bad); err == nil {
 		t.Error("no unknowns must fail")
+	}
+	// A repeated terminal index is rejected up front, naming the index,
+	// not reported later as a singular shooting system.
+	bad = *base
+	bad.X0Modes = []mat.Vec{{1, 0}, {0, 1}}
+	bad.TerminalZero = []int{1, 1}
+	if _, err := Solve(&bad); err == nil || errors.Is(err, ErrUnsolvable) ||
+		!strings.Contains(err.Error(), "terminal index 1 listed twice") {
+		t.Errorf("duplicate terminal index: got %v", err)
 	}
 }
 
