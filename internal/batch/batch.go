@@ -7,15 +7,19 @@
 //
 // The pool is deliberately simple and deterministic:
 //
-//   - Bounded: auto-sized pools (workers <= 0) draw their extra workers
-//     from one machine-wide quota of runtime.GOMAXPROCS(0)-1 borrowable
-//     slots, on top of one guaranteed worker per pool. Nested fan-out
-//     therefore cannot oversubscribe the CPUs: whichever nesting level
-//     claims the quota first runs parallel and deeper levels degrade
-//     toward serial, keeping total CPU-bound goroutines proportional to
-//     the core count. Explicitly sized pools (workers > 0) bypass the
-//     quota — they are a testing/tuning interface and get exactly what
-//     they ask for.
+//   - Bounded: the goroutine that calls Run, Map, Do or Stream is its
+//     pool's guaranteed worker, so progress never depends on the quota
+//     and nesting cannot deadlock. Every other worker holds one slot of a
+//     machine-wide quota of runtime.GOMAXPROCS(0)-1. A worker that claims
+//     an item while unclaimed items remain takes a free slot, if there is
+//     one, and starts one more worker; whichever worker finds no item left
+//     gives one of its pool's slots back. A slot therefore follows the
+//     work, not the worker: a pool holds one slot per running worker
+//     beyond the first, a long last item holds none, and a nested pool
+//     that started while its siblings held the quota grows as soon as one
+//     of them finishes. Nested fan-out cannot oversubscribe the CPUs: at
+//     any instant at most GOMAXPROCS-1 borrowed workers run besides the
+//     top-level callers.
 //   - Indexed: Map writes result i to slot i, so parallel output order is
 //     identical to serial order regardless of scheduling.
 //   - Serial-equivalent first-error propagation: a failure at index j
@@ -23,7 +27,9 @@
 //     below j still runs — exactly the set of items a serial loop would
 //     have run — so the returned error is always the lowest-indexed
 //     failure, identical to a serial loop's. In-flight items above j run
-//     to completion (bounded by the pool size).
+//     to completion (at most one per running worker). An item that
+//     panics fails with the panic value and its stack as its error, on
+//     whichever goroutine it ran.
 //   - Context-cancellable: cancelling the supplied context stops the pool
 //     between items; workers never start an item after cancellation.
 //
@@ -36,19 +42,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// DefaultWorkers returns the default pool size: runtime.GOMAXPROCS(0).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// borrowed counts extra workers currently drawn from the machine-wide
-// quota by auto-sized pools. Every pool gets one guaranteed worker for
-// free (so progress never depends on the quota and nesting cannot
-// deadlock); workers beyond the first exist only while a borrowed slot is
-// held. The quota is re-read from GOMAXPROCS on every borrow, so runtime
-// changes (tests force GOMAXPROCS up) take effect immediately.
+// borrowed counts the quota slots held by pools' extra workers. The quota
+// is re-read from GOMAXPROCS on every borrow, so runtime changes (tests
+// pin GOMAXPROCS) take effect immediately.
 var borrowed atomic.Int64
 
 func tryBorrow() bool {
@@ -63,8 +64,6 @@ func tryBorrow() bool {
 		}
 	}
 }
-
-func releaseBorrowed(n int) { borrowed.Add(int64(-n)) }
 
 // firstError retains the error of the lowest-indexed failing item, which
 // makes parallel error reporting identical to a serial loop's. Errors that
@@ -103,95 +102,21 @@ func (fe *firstError) get() error {
 	return fe.err
 }
 
-// Run applies f to every index in [0, n) on a pool of DefaultWorkers
-// workers and returns the first error (by item index), if any.
+// Run applies f to every index in [0, n) and returns the first error (by
+// item index), if any. The caller's goroutine works through the items
+// itself and draws helpers from the machine-wide quota while items remain.
 func Run(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
-	return RunWorkers(ctx, n, 0, f)
-}
-
-// RunWorkers is Run with an explicit pool size. workers <= 0 selects
-// DefaultWorkers; workers == 1 degenerates to a serial loop.
-func RunWorkers(ctx context.Context, n, workers int, f func(ctx context.Context, i int) error) error {
 	if f == nil {
 		return fmt.Errorf("batch: nil work function")
 	}
 	if n <= 0 {
 		return nil
 	}
-	borrowedSlots := 0
-	if workers <= 0 {
-		// Auto-sized: one guaranteed worker plus whatever the machine-wide
-		// quota currently allows, capped at the item count. Each extra
-		// worker owns its slot and returns it the moment it exits, so a
-		// pool's idle tail doesn't starve nested or sibling pools.
-		workers = 1
-		for workers < DefaultWorkers() && workers < n && tryBorrow() {
-			workers++
-			borrowedSlots++
-		}
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next    atomic.Int64
-		failBar atomic.Int64 // lowest failing index so far; n while none
-		fe      firstError
-		wg      sync.WaitGroup
-	)
-	failBar.Store(int64(n))
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		// The last borrowedSlots workers each own one quota slot.
-		ownsSlot := w >= workers-borrowedSlots
-		go func(ownsSlot bool) {
-			defer wg.Done()
-			if ownsSlot {
-				defer releaseBorrowed(1)
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					return
-				}
-				// Serial equivalence: a serial loop runs every item up to
-				// and including its first failure. Items below the bar
-				// therefore always run (indices are claimed in order, so
-				// they were claimed before the bar dropped); items at or
-				// above it are never started.
-				if int64(i) >= failBar.Load() {
-					return
-				}
-				if err := f(ctx, i); err != nil {
-					fe.set(i, err)
-					for {
-						cur := failBar.Load()
-						if int64(i) >= cur || failBar.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					return
-				}
-			}
-		}(ownsSlot)
-	}
-	wg.Wait()
-	if err := fe.get(); err != nil {
+	p := &pool{ctx: ctx, f: f}
+	p.failBar.Store(int64(n))
+	p.work()
+	p.wg.Wait()
+	if err := p.fe.get(); err != nil {
 		return err
 	}
 	// No item failed; a non-nil context error can only come from the
@@ -199,16 +124,86 @@ func RunWorkers(ctx context.Context, n, workers int, f func(ctx context.Context,
 	return ctx.Err()
 }
 
-// Map applies f to every index in [0, n) on a pool of DefaultWorkers
-// workers and collects the results in index order. On error the partial
-// results are discarded.
-func Map[T any](ctx context.Context, n int, f func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorkers(ctx, n, 0, f)
+// pool is the state one Run call shares among its workers.
+type pool struct {
+	ctx     context.Context
+	f       func(ctx context.Context, i int) error
+	next    atomic.Int64 // next unclaimed index
+	failBar atomic.Int64 // lowest failing index so far; n while none
+	held    atomic.Int64 // quota slots held: one per running worker beyond the first
+	fe      firstError
+	wg      sync.WaitGroup // the helpers
 }
 
-// MapWorkers is Map with an explicit pool size. workers <= 0 selects
-// DefaultWorkers; workers == 1 degenerates to a serial loop.
-func MapWorkers[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// work claims and runs items until none is left to run. The caller runs
+// it directly; each helper runs it on a goroutine of its own.
+func (p *pool) work() {
+	defer p.giveBack()
+	for p.ctx.Err() == nil {
+		i := p.next.Add(1) - 1
+		// Serial equivalence: a serial loop runs every item up to and
+		// including its first failure. Items below the bar therefore
+		// always run (indices are claimed in order, so they were claimed
+		// before the bar dropped); items at or above it are never started.
+		// The bar starts at n, so this also ends the loop past the last
+		// item.
+		if i >= p.failBar.Load() {
+			return
+		}
+		// Items are left unclaimed: take a free slot, if there is one,
+		// for one more worker.
+		if p.next.Load() < p.failBar.Load() && tryBorrow() {
+			p.held.Add(1)
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				p.work()
+			}()
+		}
+		if err := p.call(int(i)); err != nil {
+			p.fe.set(int(i), err)
+			for {
+				cur := p.failBar.Load()
+				if i >= cur || p.failBar.CompareAndSwap(cur, i) {
+					break
+				}
+			}
+			return
+		}
+	}
+}
+
+// giveBack returns one of the pool's quota slots, if it holds any, when a
+// worker stops: whichever worker finds no item left frees a slot for
+// other pools while its siblings finish their items.
+func (p *pool) giveBack() {
+	for {
+		h := p.held.Load()
+		if h == 0 {
+			return
+		}
+		if p.held.CompareAndSwap(h, h-1) {
+			borrowed.Add(-1)
+			return
+		}
+	}
+}
+
+// call runs item i and turns a panic into the item's error, so that it is
+// ranked like any other failure and never skips the wait for the helpers
+// or the return of their slots.
+func (p *pool) call(i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("batch: item %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	return p.f(p.ctx, i)
+}
+
+// Map applies f to every index in [0, n) and collects the results in
+// index order. On error the partial results are discarded.
+func Map[T any](ctx context.Context, n int, f func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if f == nil {
 		return nil, fmt.Errorf("batch: nil work function")
 	}
@@ -216,7 +211,7 @@ func MapWorkers[T any](ctx context.Context, n, workers int, f func(ctx context.C
 		return nil, nil
 	}
 	out := make([]T, n)
-	err := RunWorkers(ctx, n, workers, func(ctx context.Context, i int) error {
+	err := Run(ctx, n, func(ctx context.Context, i int) error {
 		v, err := f(ctx, i)
 		if err != nil {
 			return err
@@ -234,7 +229,7 @@ func MapWorkers[T any](ctx context.Context, n, workers int, f func(ctx context.C
 // first error by task position. It is the fan-out primitive for small
 // fixed task sets, e.g. the three evaluations of a comparison.
 func Do(ctx context.Context, tasks ...func(ctx context.Context) error) error {
-	return RunWorkers(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
+	return Run(ctx, len(tasks), func(ctx context.Context, i int) error {
 		return tasks[i](ctx)
 	})
 }
@@ -263,7 +258,7 @@ func Stream[T any](ctx context.Context, n int, f func(ctx context.Context, i int
 	}
 	poolDone := make(chan error, 1)
 	go func() {
-		poolDone <- RunWorkers(ctx, n, 0, func(ctx context.Context, i int) error {
+		poolDone <- Run(ctx, n, func(ctx context.Context, i int) error {
 			v, err := f(ctx, i)
 			if err != nil {
 				return err

@@ -244,6 +244,33 @@ func BenchmarkBatchOptimizeArch(b *testing.B) {
 	}
 }
 
+// BenchmarkCompareArch exercises the per-channel fan-out nested inside a
+// comparison: Compare's batch.Do runs the two baselines beside the
+// optimization, whose decoupled phase fans the 11 channels of Arch 2 out
+// on a nested pool. The nested pool takes each baseline's slot as that
+// baseline finishes, so on N cores a comparison approaches the standalone
+// Optimize time rather than its serial one:
+//
+//	go test -bench CompareArch -cpu 2 -benchtime 3x
+func BenchmarkCompareArch(b *testing.B) {
+	spec, err := Architecture(2, Peak)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Segments = 4
+	spec.OuterIterations = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cmp, err := Compare(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cmp.Optimal.GradientK <= 0 {
+			b.Fatal("bad result")
+		}
+	}
+}
+
 // TestBatchOptimizeEvaluatorPerWorker pins down the workspace-cache
 // concurrency contract: every optimization worker inside BatchOptimize
 // holds its own compact.Evaluator (no sharing, no locks — validated by CI's
