@@ -29,10 +29,10 @@ import (
 //     through the boundary-value coupling, and per parameter only the
 //     scalar λᵀ·d(S·u − r)/dθ remains.
 //  3. ∂Φ/∂θ, ∂ψ/∂θ and ∂Φ̃_h/∂θ are Fréchet derivatives of the piece
-//     exponentials in the direction dÃ/dθ, computed by the 2n×2n
-//     block-triangular trick (mat.ExpmWS.Frechet) and memoized next to the
-//     transition cache: a line search revisiting a design pays only for
-//     pieces whose coefficients actually changed.
+//     exponentials in the direction dÃ/dθ, computed by Al-Mohy & Higham's
+//     recurrence on the piece's own n×n generator (mat.ExpmWS.Frechet) and
+//     memoized next to the transition cache: a line search revisiting a
+//     design pays only for pieces whose coefficients actually changed.
 //
 // Only the generator direction dÃ/dθ itself is finite-differenced — a
 // central difference of the cheap algebraic coefficient map, never of a

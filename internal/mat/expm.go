@@ -23,10 +23,17 @@ const theta13 = 5.371920351148152
 // dimension grows.
 type ExpmWS struct {
 	b, a2, a4, a6  *Dense
+	w1, z1         *Dense // odd and even Padé polynomials in A6
 	w, u, v        *Dense
 	lu             LU
 	col, sol, work Vec
-	blk, bexp      *Dense // Frechet block matrices
+	// Fréchet derivative scratch (see Frechet): the scaled direction, the
+	// derivatives of A2, A4, A6, w, u and v, and the derivative L with
+	// its squaring partner.
+	de, m2, m4, m6 *Dense
+	dw, du, dv     *Dense
+	l, lt          *Dense
+	p, t           *Dense // polynomial and product temporaries
 }
 
 // Expm computes dst = e^a for square a by scaling-and-squaring with a
@@ -40,92 +47,51 @@ func (ws *ExpmWS) Expm(dst *Dense, a *Dense) (*Dense, error) {
 	if a.Cols() != n {
 		return nil, fmt.Errorf("%w: Expm of %dx%d matrix", ErrDimension, a.Rows(), a.Cols())
 	}
-	nrm := a.NormInf()
-	if math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-		return nil, fmt.Errorf("mat: Expm of matrix with non-finite norm %g", nrm)
+	if err := ws.scaleSquare(a, nil); err != nil {
+		return nil, err
 	}
-	s := 0
-	if nrm > theta13 {
-		s = int(math.Ceil(math.Log2(nrm / theta13)))
-	}
-	scale := math.Ldexp(1, -s)
-
-	ws.b = ReshapeDense(ws.b, n, n)
-	for i, v := range a.data {
-		ws.b.data[i] = v * scale
-	}
-	b := ws.b
-	ws.a2 = MulInto(ReshapeDense(ws.a2, n, n), b, b)
-	ws.a4 = MulInto(ReshapeDense(ws.a4, n, n), ws.a2, ws.a2)
-	ws.a6 = MulInto(ReshapeDense(ws.a6, n, n), ws.a2, ws.a4)
-	c := &padeCoeffs
-
-	// w = A6·(c13·A6 + c11·A4 + c9·A2) + c7·A6 + c5·A4 + c3·A2 + c1·I
-	ws.u = ReshapeDense(ws.u, n, n)
-	for i := range ws.u.data {
-		ws.u.data[i] = c[13]*ws.a6.data[i] + c[11]*ws.a4.data[i] + c[9]*ws.a2.data[i]
-	}
-	ws.w = MulInto(ReshapeDense(ws.w, n, n), ws.a6, ws.u)
-	for i := range ws.w.data {
-		ws.w.data[i] += c[7]*ws.a6.data[i] + c[5]*ws.a4.data[i] + c[3]*ws.a2.data[i]
-	}
-	for i := 0; i < n; i++ {
-		ws.w.data[i*n+i] += c[1]
-	}
-	// u = B·w (the odd half), built in ws.u.
-	ws.u = MulInto(ws.u, b, ws.w)
-
-	// v = A6·(c12·A6 + c10·A4 + c8·A2) + c6·A6 + c4·A4 + c2·A2 + c0·I
-	ws.w = ReshapeDense(ws.w, n, n)
-	for i := range ws.w.data {
-		ws.w.data[i] = c[12]*ws.a6.data[i] + c[10]*ws.a4.data[i] + c[8]*ws.a2.data[i]
-	}
-	ws.v = MulInto(ReshapeDense(ws.v, n, n), ws.a6, ws.w)
-	for i := range ws.v.data {
-		ws.v.data[i] += c[6]*ws.a6.data[i] + c[4]*ws.a4.data[i] + c[2]*ws.a2.data[i]
-	}
-	for i := 0; i < n; i++ {
-		ws.v.data[i*n+i] += c[0]
-	}
-
-	// Solve (V−U)·F = (V+U); V−U is provably nonsingular for scaled norms
-	// below theta13. Reuse ws.w for V−U and b for the result (the scaled
-	// input is no longer needed).
-	for i := range ws.w.data {
-		ws.w.data[i] = ws.v.data[i] - ws.u.data[i]
-	}
-	if err := ws.lu.Refactorize(ws.w); err != nil {
-		return nil, fmt.Errorf("mat: Expm Padé solve: %w", err)
-	}
-	if cap(ws.col) < n {
-		ws.col = make(Vec, n)
-		ws.sol = make(Vec, n)
-		ws.work = make(Vec, n)
-	}
-	col, sol, work := ws.col[:n], ws.sol[:n], ws.work[:n]
-	f := b // holds the Padé approximant, then the squarings
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = ws.v.data[i*n+j] + ws.u.data[i*n+j]
-		}
-		if _, err := ws.lu.SolveWS(sol, col, work); err != nil {
-			return nil, fmt.Errorf("mat: Expm Padé solve: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			f.data[i*n+j] = sol[i]
-		}
-	}
-	w := ws.w
-	for k := 0; k < s; k++ {
-		w = MulInto(w, f, f)
-		f, w = w, f
-	}
-	// Write both pointers back so the workspace fields stay distinct
-	// matrices after an odd number of swaps.
-	ws.b, ws.w = f, w
 	out := ReshapeDense(dst, n, n)
-	copy(out.data, f.data)
+	copy(out.data, ws.b.data)
 	return out, nil
+}
+
+// Frechet computes the matrix exponential of a together with its Fréchet
+// derivative L(a, e), the directional derivative of expm at a in
+// direction e, by Al-Mohy & Higham's scaling-and-squaring recurrence
+// (Computing the Fréchet derivative of the matrix exponential, SIAM J.
+// Matrix Anal. Appl. 30(4), 2009, Algorithm 6.4) on n×n matrices:
+//
+//	M2 = A·E + E·A,  M4 = A2·M2 + M2·A2,  M6 = A4·M2 + M4·A2
+//	Lw = A6·Lw1 + M6·w1 + Lw2,  Lu = A·Lw + E·w
+//	Lv = A6·Lz1 + M6·z1 + Lz2
+//	(V−U)·L = Lu + Lv + (Lu−Lv)·R,  then L ← R·L + L·R per squaring
+//
+// on the scaled A = 2^-s·a and E = 2^-s·e, where Lw1, Lw2, Lz1 and Lz2
+// are Expm's polynomials w1, w2, z1 and z2 in A2, A4, A6 with M2, M4, M6
+// in their place. The exponential half is Expm's own computation, so it
+// equals Expm(a) bit for bit; the scaling power s comes from ‖a‖∞ alone,
+// and since every derivative term is linear in e, the size of e never
+// changes it. expDst and lDst may be nil (allocates); neither may alias a
+// or e.
+//
+//chanmod:noalloc
+func (ws *ExpmWS) Frechet(expDst, lDst *Dense, a, e *Dense) (*Dense, *Dense, error) {
+	n := a.Rows()
+	if a.Cols() != n || e.Rows() != n || e.Cols() != n {
+		return nil, nil, fmt.Errorf("%w: Frechet of %dx%d matrix with %dx%d direction",
+			ErrDimension, a.Rows(), a.Cols(), e.Rows(), e.Cols())
+	}
+	if nrm := e.NormInf(); math.IsNaN(nrm) || math.IsInf(nrm, 0) {
+		return nil, nil, fmt.Errorf("mat: Frechet direction with non-finite norm %g", nrm)
+	}
+	if err := ws.scaleSquare(a, e); err != nil {
+		return nil, nil, err
+	}
+	ex := ReshapeDense(expDst, n, n)
+	copy(ex.data, ws.b.data)
+	l := ReshapeDense(lDst, n, n)
+	copy(l.data, ws.l.data)
+	return ex, l, nil
 }
 
 // Expm returns e^a in a new matrix. Convenience wrapper over ExpmWS for
@@ -133,47 +99,6 @@ func (ws *ExpmWS) Expm(dst *Dense, a *Dense) (*Dense, error) {
 func Expm(a *Dense) (*Dense, error) {
 	var ws ExpmWS
 	return ws.Expm(nil, a)
-}
-
-// Frechet computes the matrix exponential of a together with its Fréchet
-// derivative L(a, e) — the directional derivative of expm at a in
-// direction e — via the block-triangular identity
-//
-//	exp [ A  E ]  =  [ e^A  L(A,E) ]
-//	    [ 0  A ]     [ 0    e^A    ]
-//
-// expDst and lDst may be nil; neither may alias a or e. The off-diagonal
-// e^A copy of the block result is discarded.
-func (ws *ExpmWS) Frechet(expDst, lDst *Dense, a, e *Dense) (*Dense, *Dense, error) {
-	n := a.Rows()
-	if a.Cols() != n || e.Rows() != n || e.Cols() != n {
-		return nil, nil, fmt.Errorf("%w: Frechet of %dx%d matrix with %dx%d direction",
-			ErrDimension, a.Rows(), a.Cols(), e.Rows(), e.Cols())
-	}
-	m := 2 * n
-	ws.blk = ReshapeDense(ws.blk, m, m)
-	for i := 0; i < n; i++ {
-		arow := a.data[i*n : (i+1)*n]
-		erow := e.data[i*n : (i+1)*n]
-		brow := ws.blk.data[i*m : (i+1)*m]
-		copy(brow[:n], arow)
-		copy(brow[n:], erow)
-		lrow := ws.blk.data[(n+i)*m : (n+i+1)*m]
-		copy(lrow[n:], arow)
-	}
-	var err error
-	ws.bexp, err = ws.Expm(ws.bexp, ws.blk)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := ReshapeDense(expDst, n, n)
-	l := ReshapeDense(lDst, n, n)
-	for i := 0; i < n; i++ {
-		brow := ws.bexp.data[i*m : (i+1)*m]
-		copy(ex.data[i*n:(i+1)*n], brow[:n])
-		copy(l.data[i*n:(i+1)*n], brow[n:])
-	}
-	return ex, l, nil
 }
 
 // ExpmFrechet returns e^a and the Fréchet derivative of expm at a in

@@ -321,6 +321,8 @@ func TestExpmWarmZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	//chanmod:allocgate mat.ExpmWS.Expm
+	//chanmod:allocgate mat.ExpmWS.scaleSquare
+	//chanmod:allocgate mat.ExpmWS.solveCols
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ws.Expm(dst, a); err != nil {
 			t.Fatal(err)
