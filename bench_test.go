@@ -13,6 +13,7 @@ package channelmod
 import (
 	"testing"
 
+	"repro/internal/genscen"
 	"repro/internal/units"
 )
 
@@ -225,6 +226,42 @@ func BenchmarkAblationSolver(b *testing.B) {
 				spec.Segments = 6
 				spec.Solver = tc.solver
 				if _, err := Optimize(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPrepareJob times what chanmodd does to every request before
+// it looks in the cache: copy the job, canonicalize and check it, and
+// hash it. The cases are the shapes of perfbench serve: a popular genscen
+// floorplan design (a cache hit), a seeded Test-B flow sweep (an
+// asynchronous submission) and a preset.
+func BenchmarkPrepareJob(b *testing.B) {
+	floorplan, err := genscen.Generate(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	floorplan.Trace, floorplan.Runtime = nil, nil
+	floorplan.Solver = "lbfgsb"
+	floorplan.EqualPressure = false
+	seed := int64(123456789)
+	cases := []struct {
+		name string
+		job  *Job
+	}{
+		{"genscen-optimize", &Job{Kind: JobOptimize, Scenario: *floorplan}},
+		{"testB-flow-sweep", &Job{Kind: JobSweep,
+			Scenario: Scenario{Preset: "testB", Seed: &seed, Segments: 1, OuterIterations: 1},
+			Sweep:    &SweepJobSpec{Kind: "flow", FlowMLMin: []float64{0.3, 0.4, 0.5}}}},
+		{"testA-optimize", &Job{Kind: JobOptimize, Scenario: Scenario{Preset: "testA"}}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PrepareJob(c.job); err != nil {
 					b.Fatal(err)
 				}
 			}

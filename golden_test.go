@@ -68,7 +68,7 @@ type goldenJob struct {
 	job   *Job
 }
 
-// goldenJobs covers every job kind on the presets and two generated
+// goldenJobs covers every job kind on the presets and three generated
 // floorplans, with the optimizer variants whose results come from
 // different code: adjoint and finite-difference gradients, Nelder–Mead,
 // and value-only solves (baselines, flow sweeps, fixed-width maps and
@@ -127,6 +127,44 @@ func goldenJobs(t *testing.T) []goldenJob {
 		f.EqualPressure = false
 		jobs = append(jobs, goldenJob{fmt.Sprintf("compare/genscen%d", seed), compare(*f)})
 	}
+
+	// The prepare paths chanmodd runs on every request: a seeded Test-B
+	// flow sweep (the shape of perfbench serve's asynchronous jobs), a
+	// floorplan compare in average mode, and a transient whose trace
+	// scales the base loads (its design resolves through a trace-design
+	// sub-job).
+	seedB := int64(424242)
+	flowSweep := Scenario{Preset: "testB", Seed: &seedB, Segments: 1, OuterIterations: 1}
+	jobs = append(jobs, goldenJob{"sweep/flow/testB-seeded",
+		sweep(flowSweep, &SweepJobSpec{Kind: "flow", FlowMLMin: []float64{0.3, 0.4, 0.5}})})
+	f, err := genscen.Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Trace, f.Runtime = nil, nil
+	f.Mode = "average"
+	f.Segments = 2
+	f.OuterIterations = 0
+	f.Solver = "lbfgsb"
+	f.EqualPressure = false
+	jobs = append(jobs, goldenJob{"compare/genscen3/average", compare(*f)})
+	full, idle, half := 1.0, 0.0, 0.5
+	scaled := Scenario{
+		Segments:        2,
+		OuterIterations: 1,
+		Channels: []scenario.Channel{
+			{TopWcm2: []float64{60, 120}, BottomWcm2: []float64{40, 40}},
+			{TopWcm2: []float64{40, 40}, BottomWcm2: []float64{80, 30}},
+		},
+		Trace: &scenario.Trace{Periodic: true, Phases: []scenario.Phase{
+			{DurationMS: 4, Scale: &full},
+			{DurationMS: 3, Scale: &idle},
+			{DurationMS: 3, Scale: &half},
+		}},
+		Runtime: &scenario.Runtime{DtMS: 1, NX: 20, HorizonMS: 10},
+	}
+	jobs = append(jobs, goldenJob{"transient/scaled-trace",
+		&Job{Kind: JobTransient, Scenario: scaled}})
 	return jobs
 }
 

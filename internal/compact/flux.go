@@ -2,6 +2,7 @@ package compact
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -20,19 +21,11 @@ type Flux struct {
 // Negative values are permitted (local cooling elements), but NaN/Inf are
 // rejected.
 func NewFlux(values []float64, length float64) (*Flux, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("compact: empty flux list")
-	}
-	if err := units.CheckPositive("flux profile length", length); err != nil {
+	if err := CheckFlux(values, length); err != nil {
 		return nil, err
 	}
 	cp := make([]float64, len(values))
 	copy(cp, values)
-	for i, v := range cp {
-		if err := units.CheckFinite(fmt.Sprintf("flux[%d]", i), v); err != nil {
-			return nil, err
-		}
-	}
 	f := &Flux{values: cp, length: length}
 	f.cum = make([]float64, len(cp)+1)
 	seg := length / float64(len(cp))
@@ -40,6 +33,23 @@ func NewFlux(values []float64, length float64) (*Flux, error) {
 		f.cum[i+1] = f.cum[i] + v*seg
 	}
 	return f, nil
+}
+
+// CheckFlux reports the error NewFlux returns for values over length,
+// without building the profile.
+func CheckFlux(values []float64, length float64) error {
+	if len(values) == 0 {
+		return fmt.Errorf("compact: empty flux list")
+	}
+	if err := units.CheckPositive("flux profile length", length); err != nil {
+		return err
+	}
+	for i, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return units.CheckFinite(fmt.Sprintf("flux[%d]", i), v)
+		}
+	}
+	return nil
 }
 
 // NewUniformFlux builds a single-segment constant flux profile.

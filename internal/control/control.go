@@ -156,6 +156,20 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("control: channel %d has nil flux", k)
 		}
 	}
+	return s.validateSettings()
+}
+
+// ValidateSettings is Validate without the channel loads: it checks
+// everything but Channels, in Validate's order, so a caller can check a
+// problem's settings before it builds the loads.
+func (s *Spec) ValidateSettings() error {
+	if err := s.Params.Validate(); err != nil {
+		return err
+	}
+	return s.validateSettings()
+}
+
+func (s *Spec) validateSettings() error {
 	if err := s.Bounds.Validate(); err != nil {
 		return err
 	}

@@ -132,6 +132,20 @@ func (rs *RuntimeSpec) Validate() error {
 		return fmt.Errorf("control: trace has %d channels, spec has %d",
 			rs.Trace.Channels(), len(rs.Spec.Channels))
 	}
+	if err := rs.ValidateController(); err != nil {
+		return err
+	}
+	if rs.Profiles != nil && len(rs.Profiles) != len(rs.Spec.Channels) {
+		return fmt.Errorf("control: %d profiles for %d channels",
+			len(rs.Profiles), len(rs.Spec.Channels))
+	}
+	return nil
+}
+
+// ValidateController is Validate's check of the controller settings
+// (timing and flow-scale range), which need neither the spec nor the
+// trace.
+func (rs *RuntimeSpec) ValidateController() error {
 	if rs.Dt < 0 || rs.Epoch < 0 || rs.Horizon < 0 {
 		return fmt.Errorf("control: negative runtime timing (dt %g, epoch %g, horizon %g)",
 			rs.Dt, rs.Epoch, rs.Horizon)
@@ -142,10 +156,6 @@ func (rs *RuntimeSpec) Validate() error {
 	}
 	if lo > 1 || hi < 1 {
 		return fmt.Errorf("control: flow-scale range [%g, %g] must contain 1 (total flow is conserved)", lo, hi)
-	}
-	if rs.Profiles != nil && len(rs.Profiles) != len(rs.Spec.Channels) {
-		return fmt.Errorf("control: %d profiles for %d channels",
-			len(rs.Profiles), len(rs.Spec.Channels))
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	channelmod "repro"
+	"repro/internal/scenario/scenariotest"
 )
 
 // fastJobJSON is a single-solve job document (baseline evaluation of a
@@ -252,5 +253,29 @@ func TestBadRequests(t *testing.T) {
 	}
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestFixtureChecksAgree: the scenario of every job document these tests
+// send that decodes passes the build-free checks job preparation runs
+// exactly when it passes the builders, with the same error text.
+func TestFixtureChecksAgree(t *testing.T) {
+	docs := []string{
+		fastJobJSON,
+		sweepJobJSON("0.2, 0.4"),
+		`{"kind":"frobnicate","scenario":{}}`,
+		generatedSweepJSON(t, 11),
+		generatedSweepJSON(t, 77),
+	}
+	for i, doc := range docs {
+		var job channelmod.Job
+		dec := json.NewDecoder(strings.NewReader(doc))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&job); err != nil {
+			t.Fatalf("document %d: %v", i, err)
+		}
+		if err := scenariotest.CheckAgreement(&job.Scenario); err != nil {
+			t.Errorf("document %d: %v", i, err)
+		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // Event stream: GET /v1/jobs/{id}/events delivers one message per
-// completed point of a composite job (sweep rows, arch-experiment
-// cases, nested design solves), in point order, followed by exactly one
-// terminal message ("done" or "error"). Non-composite jobs emit the
-// terminal message only.
+// completed point of a composite job (a compare's three designs, sweep
+// rows, arch-experiment cases, nested design solves), in point order,
+// followed by exactly one terminal message ("done" or "error").
+// Non-composite jobs emit the terminal message only.
 //
 // While the submission executes, subscribers follow the live feed the
 // executor publishes into — points arrive as they are solved, each with

@@ -156,8 +156,8 @@ func (e *Engine) RunPrepared(ctx context.Context, p *Prepared) (*Result, Info, e
 }
 
 // RunStream is Run with incremental per-point delivery: for composite
-// jobs (sweeps, the arch-experiment grid, and the nested design solves
-// of thermalmap/transient/runtime), emit is called on the calling
+// jobs (compares, sweeps, the arch-experiment grid, and the nested design
+// solves of thermalmap/transient/runtime), emit is called on the calling
 // goroutine with one PointEvent per sub-job, in point order, as soon as
 // that point (and every point before it) is done — while later points
 // are still being computed. Non-composite jobs emit no events. A

@@ -15,16 +15,16 @@ import (
 // executor is deterministic (seeded randomness only) and fans its
 // independent solves out on the bounded worker pool, so a cold run, a
 // warm cache hit and a coalesced submission all observe bit-identical
-// payloads. Composite kinds (sweep, arch-experiment, and the nested
-// design solves of thermalmap/transient/runtime) execute their points
-// as individually content-addressed sub-jobs (see points.go), emitting
-// a PointEvent per completed point into snk.
+// payloads. Composite kinds (compare, sweep, arch-experiment, and the
+// nested design solves of thermalmap/transient/runtime) execute their
+// points as individually content-addressed sub-jobs (see points.go),
+// emitting a PointEvent per completed point into snk.
 func (e *Engine) exec(ctx context.Context, job *Job, hash string, snk *sink) (*Result, error) {
 	res := &Result{Kind: job.Kind, Hash: hash}
 	var err error
 	switch job.Kind {
 	case KindCompare:
-		err = e.execCompare(ctx, job, res)
+		err = e.execCompare(ctx, job, res, snk)
 	case KindOptimize:
 		err = e.execOptimize(ctx, job, res)
 	case KindSweep:
@@ -46,16 +46,30 @@ func (e *Engine) exec(ctx context.Context, job *Job, hash string, snk *sink) (*R
 	return res, nil
 }
 
-func (e *Engine) execCompare(ctx context.Context, job *Job, res *Result) error {
-	spec, err := job.Scenario.Spec()
+// compareLabels name a compare's sub-jobs in errors, in point order.
+var compareLabels = [...]string{"core: min-width baseline", "core: max-width baseline", "core: optimization"}
+
+// execCompare runs the paper's three-way evaluation as three optimize
+// sub-jobs (the min- and max-width baselines and the modulation
+// optimum), so a compare shares its optimum with a direct optimize of
+// the same scenario and re-solves only what the cache lacks.
+func (e *Engine) execCompare(ctx context.Context, job *Job, res *Result, snk *sink) error {
+	subs := subJobs(job)
+	preps, err := prepareAll(subs, func(i int) string { return compareLabels[i] })
 	if err != nil {
 		return err
 	}
-	cmp, err := core.CompareContext(ctx, spec)
+	designs := make([]*control.Result, len(subs))
+	err = e.runPoints(ctx, preps,
+		func(i int, err error) error { return fmt.Errorf("%s: %w", compareLabels[i], err) },
+		func(i int, o outcome) error {
+			designs[i] = o.res.Optimize
+			return snk.point(PointEvent{Index: i, Total: len(subs), Info: o.info, Design: designs[i]})
+		})
 	if err != nil {
 		return err
 	}
-	res.Compare = cmp
+	res.Compare = &core.Comparison{MinWidth: designs[0], MaxWidth: designs[1], Optimal: designs[2]}
 	return nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/scenario"
@@ -221,67 +222,76 @@ func (j *Job) Canonicalize() (*Job, error) {
 	if !j.Kind.Valid() {
 		return nil, fmt.Errorf("engine: unknown job kind %q", j.Kind)
 	}
-	c, err := clone(j)
-	if err != nil {
+	c := clone(j)
+	if err := c.canonicalize(); err != nil {
 		return nil, err
 	}
+	if err := c.checkScenario(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// canonicalize brings a copy of a job of a valid kind into canonical
+// form and runs the checks of its options.
+func (j *Job) canonicalize() error {
 	// Cosmetic fields never reach the hash.
-	c.Scenario.Name = ""
+	j.Scenario.Name = ""
 
-	if err := c.checkSections(); err != nil {
-		return nil, err
+	if err := j.checkSections(); err != nil {
+		return err
 	}
-	c.applyScenarioDefaults()
+	j.applyScenarioDefaults()
 
-	switch c.Kind {
+	switch j.Kind {
 	case KindOptimize:
-		if c.Optimize == nil {
-			c.Optimize = &OptimizeSpec{}
+		if j.Optimize == nil {
+			j.Optimize = &OptimizeSpec{}
 		}
-		if err := c.Optimize.canonicalize(); err != nil {
-			return nil, err
+		if err := j.Optimize.canonicalize(); err != nil {
+			return err
 		}
 	case KindSweep:
-		if c.Sweep == nil {
-			return nil, fmt.Errorf("engine: sweep job needs a sweep section")
+		if j.Sweep == nil {
+			return fmt.Errorf("engine: sweep job needs a sweep section")
 		}
-		if err := c.Sweep.canonicalize(); err != nil {
-			return nil, err
+		if err := j.Sweep.canonicalize(); err != nil {
+			return err
 		}
 		// The swept axis overrides the matching scenario knob at every
 		// point, so that knob is inert and must not hash.
-		switch c.Sweep.Kind {
+		switch j.Sweep.Kind {
 		case SweepPressure:
-			c.Scenario.MaxPressureBar = 10
+			j.Scenario.MaxPressureBar = 10
 		case SweepSegments:
-			c.Scenario.Segments = 20
+			j.Scenario.Segments = 20
 		case SweepFlow:
-			c.Scenario.Params.FlowRateMLMin = 0
+			j.Scenario.Params.FlowRateMLMin = 0
 		}
 	case KindArchExperiment:
-		if c.Experiment == nil {
-			c.Experiment = &ExperimentSpec{}
+		if j.Experiment == nil {
+			j.Experiment = &ExperimentSpec{}
 		}
-		if err := c.Experiment.canonicalize(); err != nil {
-			return nil, err
+		if err := j.Experiment.canonicalize(); err != nil {
+			return err
 		}
 	case KindThermalMap:
-		if c.Map == nil {
-			c.Map = &MapSpec{}
+		if j.Map == nil {
+			j.Map = &MapSpec{}
 		}
-		if err := c.Map.canonicalize(); err != nil {
-			return nil, err
+		if err := j.Map.canonicalize(); err != nil {
+			return err
 		}
 	case KindTransient:
-		if c.Transient == nil {
-			c.Transient = &TransientSpec{}
+		if j.Transient == nil {
+			j.Transient = &TransientSpec{}
 		}
-		if c.Transient.WidthUM < 0 {
-			return nil, fmt.Errorf("engine: negative transient width %g µm", c.Transient.WidthUM)
+		if j.Transient.WidthUM < 0 {
+			return fmt.Errorf("engine: negative transient width %g µm", j.Transient.WidthUM)
 		}
-		if rt := c.Scenario.Runtime; rt != nil {
+		if rt := j.Scenario.Runtime; rt != nil {
 			if err := canonicalizeEngineKnob(rt); err != nil {
-				return nil, err
+				return err
 			}
 			// No controller runs in an open-loop transient, so the valve
 			// range is inert and must not hash. EpochMS stays: the
@@ -289,59 +299,56 @@ func (j *Job) Canonicalize() (*Job, error) {
 			// simulated span.
 			rt.FlowScaleRange = [2]float64{}
 			if *rt == (scenario.Runtime{}) {
-				c.Scenario.Runtime = nil
+				j.Scenario.Runtime = nil
 			}
 		}
 	case KindRuntime:
-		if rt := c.Scenario.Runtime; rt != nil {
+		if rt := j.Scenario.Runtime; rt != nil {
 			if err := canonicalizeEngineKnob(rt); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
+	return nil
+}
 
-	// Kind-specific scenario validation: catch unbuildable jobs at
-	// submission, not deep inside a worker.
-	switch c.Kind {
+// checkScenario runs the kind's scenario checks on a canonical job:
+// unbuildable jobs fail at submission, not deep inside a worker. The
+// checks are the ones the builders run, without building, so execution
+// builds each spec once.
+func (j *Job) checkScenario() error {
+	switch j.Kind {
 	case KindCompare, KindOptimize, KindSweep:
-		spec, err := c.Scenario.Spec()
-		if err != nil {
-			return nil, err
+		if j.isTraceDesign() {
+			return j.Scenario.CheckTrace()
 		}
-		if c.isTraceDesign() {
-			if _, err := c.Scenario.BuildTrace(spec); err != nil {
-				return nil, err
-			}
-		}
+		return j.Scenario.Check()
 	case KindTransient, KindRuntime:
-		if _, err := c.Scenario.RuntimeSpec(); err != nil {
-			return nil, err
-		}
+		return j.Scenario.CheckRuntime()
 	case KindThermalMap:
-		if scenario.IsMapOnlyPreset(c.Scenario.Preset) {
-			if len(c.Scenario.Channels) != 0 || c.Scenario.Floorplan != nil {
-				return nil, fmt.Errorf("engine: preset %q sets both a grid-map preset and explicit loads", c.Scenario.Preset)
+		if scenario.IsMapOnlyPreset(j.Scenario.Preset) {
+			if len(j.Scenario.Channels) != 0 || j.Scenario.Floorplan != nil {
+				return fmt.Errorf("engine: preset %q sets both a grid-map preset and explicit loads", j.Scenario.Preset)
 			}
-			if c.Map.Widths != WidthsUniform {
-				return nil, fmt.Errorf("engine: map widths %q is unsupported for the fixed-map preset %q (only uniform)", c.Map.Widths, c.Scenario.Preset)
+			if j.Map.Widths != WidthsUniform {
+				return fmt.Errorf("engine: map widths %q is unsupported for the fixed-map preset %q (only uniform)", j.Map.Widths, j.Scenario.Preset)
 			}
 			// The fig1 stacks have fixed parameters; accepting overrides
 			// here would silently simulate something else.
-			if c.Scenario.Params != (scenario.Params{}) {
-				return nil, fmt.Errorf("engine: preset %q has fixed parameters; params overrides are not supported", c.Scenario.Preset)
+			if j.Scenario.Params != (scenario.Params{}) {
+				return fmt.Errorf("engine: preset %q has fixed parameters; params overrides are not supported", j.Scenario.Preset)
 			}
-		} else if _, err := c.Scenario.Spec(); err != nil {
-			return nil, err
+			return nil
 		}
+		return j.Scenario.Check()
 	case KindArchExperiment:
-		if c.Scenario.Preset != "" || len(c.Scenario.Channels) != 0 || c.Scenario.Floorplan != nil {
-			return nil, fmt.Errorf("engine: arch-experiment jobs carry their stacks in the experiment section; the scenario must have no preset, channels or floorplan")
+		if j.Scenario.Preset != "" || len(j.Scenario.Channels) != 0 || j.Scenario.Floorplan != nil {
+			return fmt.Errorf("engine: arch-experiment jobs carry their stacks in the experiment section; the scenario must have no preset, channels or floorplan")
 		}
-		if _, err := c.Scenario.FloorplanMode(); err != nil {
-			return nil, err
-		}
+		_, err := j.Scenario.FloorplanMode()
+		return err
 	}
-	return c, nil
+	return nil
 }
 
 // isTraceDesign reports whether the job is the trace-design optimize
@@ -602,16 +609,44 @@ func (j *Job) canonicalHash() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// clone deep-copies a job through its JSON form (every field is plain
-// serializable data by construction).
-func clone(j *Job) (*Job, error) {
-	b, err := json.Marshal(j)
-	if err != nil {
-		return nil, fmt.Errorf("engine: encode job: %w", err)
+// clone deep-copies a job: the copy shares no pointer or backing array
+// with j, and empty lists of omitempty fields come back nil, exactly as
+// from the job's JSON form decoded (the reference the tests hold it to).
+func clone(j *Job) *Job {
+	c := *j
+	c.Scenario = j.Scenario.Clone()
+	if j.Optimize != nil {
+		o := *j.Optimize
+		c.Optimize = &o
 	}
-	var c Job
-	if err := json.Unmarshal(b, &c); err != nil {
-		return nil, fmt.Errorf("engine: decode job: %w", err)
+	if j.Sweep != nil {
+		s := *j.Sweep
+		s.PressureBars = cloneList(s.PressureBars)
+		s.Segments = cloneList(s.Segments)
+		s.FlowMLMin = cloneList(s.FlowMLMin)
+		c.Sweep = &s
 	}
-	return &c, nil
+	if j.Experiment != nil {
+		e := *j.Experiment
+		e.Archs = cloneList(e.Archs)
+		e.Modes = cloneList(e.Modes)
+		c.Experiment = &e
+	}
+	if j.Map != nil {
+		m := *j.Map
+		c.Map = &m
+	}
+	if j.Transient != nil {
+		t := *j.Transient
+		c.Transient = &t
+	}
+	return &c
+}
+
+// cloneList copies an omitempty list; an empty one becomes nil.
+func cloneList[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }

@@ -125,6 +125,9 @@ func TestHashDiscriminates(t *testing.T) {
 			t.Fatalf("hash collision between %q and %q (%s)", prev, name, h)
 		}
 		seen[h] = name
+		if err := CheckAgreement(j); err != nil {
+			t.Error(err)
+		}
 	}
 
 	base := func() *Job { return &Job{Kind: KindCompare, Scenario: twoChannelScenario()} }
@@ -314,6 +317,9 @@ func TestCanonicalizeRejects(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
+			if err := CheckAgreement(tc.job); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -338,10 +344,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := clone(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := JSONClone(t, c)
 	if h, err := rt.Hash(); err != nil || h != h0 {
 		t.Errorf("round-tripped hash %s (err %v), want %s", h, err, h0)
 	}

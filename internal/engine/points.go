@@ -10,25 +10,36 @@ import (
 
 // points.go — per-point sub-job decomposition.
 //
-// Composite job kinds are families of independent points: a sweep is one
-// optimize job per coordinate, the arch-experiment grid is one compare
-// job per architecture × mode combo, and the thermalmap/transient/
-// runtime kinds resolve a nested design optimization. Instead of hashing
-// and caching the family as one monolithic entry, the engine decomposes
-// it: every point is itself a canonical Job with its own content
-// address, executed through the same Run pipeline (cache + singleflight
-// included), and the parent result is a cheap reduction over the
-// per-point results. Two overlapping sweeps therefore re-solve only the
-// points they do not share, and a sweep point is cache-shared with a
-// direct submission of the equivalent optimize/compare job.
+// Composite job kinds are families of independent points: a compare is
+// three optimize jobs (the two uniform-width baselines and the
+// modulation optimum), a sweep is one optimize job per coordinate, the
+// arch-experiment grid is one compare job per architecture × mode
+// combo, and the thermalmap/transient/runtime kinds resolve a nested
+// design optimization. Instead of hashing and caching the family as one
+// monolithic entry, the engine decomposes it: every point is itself a
+// canonical Job with its own content address, executed through the same
+// Run pipeline (cache + singleflight included), and the parent result is
+// a cheap reduction over the per-point results. Two overlapping sweeps
+// therefore re-solve only the points they do not share, and a sweep
+// point is cache-shared with a direct submission of the equivalent
+// optimize/compare job.
 
 // subJobs returns the canonical job's per-point sub-jobs in point order,
-// or nil when the kind is not decomposable (compare, plain optimize,
-// uniform-width maps and transients). The constructors mirror the
-// executors exactly: running subJobs[i] computes precisely what point i
-// of the parent computes.
+// or nil when the kind is not decomposable (plain optimize, uniform-width
+// maps and transients). The constructors mirror the executors exactly:
+// running subJobs[i] computes precisely what point i of the parent
+// computes.
 func subJobs(canon *Job) []*Job {
 	switch canon.Kind {
+	case KindCompare:
+		// Canonicalization materializes the width bounds, so the
+		// min-width baseline names its width; zero width_um resolves to
+		// the upper bound.
+		return []*Job{
+			baselineJob(canon, canon.Scenario.BoundsUM[0]),
+			baselineJob(canon, 0),
+			designJob(canon),
+		}
 	case KindSweep:
 		s := canon.Sweep
 		n := s.pointCount()
@@ -104,8 +115,18 @@ func archCaseJob(canon *Job, arch int, mode string) *Job {
 	return sub
 }
 
-// designJob builds the nested optimize job a widths:"optimal" thermal
-// map resolves its modulation design through.
+// baselineJob builds a compare's uniform-width baseline at widthUM (zero
+// → the upper bound) as a standalone optimize job.
+func baselineJob(canon *Job, widthUM float64) *Job {
+	return &Job{
+		Kind:     KindOptimize,
+		Scenario: canon.Scenario,
+		Optimize: &OptimizeSpec{Variant: VariantBaseline, WidthUM: widthUM},
+	}
+}
+
+// designJob builds the modulation optimum a compare reduces and a
+// widths:"optimal" thermal map resolves its design through.
 func designJob(canon *Job) *Job {
 	return &Job{Kind: KindOptimize, Scenario: canon.Scenario}
 }
@@ -143,9 +164,11 @@ type PointEvent struct {
 	// Case is the evaluated combo of an arch-experiment parent.
 	Case *ExperimentCase
 	// Design is the resolved design optimization of a thermalmap
-	// (widths "optimal"), transient or runtime parent. On a replayed
-	// stream it is nil when the sub-result has been evicted from the
-	// cache (the event still carries the sub-job's address).
+	// (widths "optimal"), transient or runtime parent, or one of a
+	// compare parent's three designs: the min-width baseline, the
+	// max-width baseline and the modulation optimum, in that order. On a
+	// replayed stream it is nil when the sub-result has been evicted from
+	// the cache (the event still carries the sub-job's address).
 	Design *control.Result
 }
 

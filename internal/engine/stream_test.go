@@ -258,3 +258,77 @@ func TestTransientStreamEmitsDesignPoint(t *testing.T) {
 		t.Error("replayed design payload missing despite a warm sub-result")
 	}
 }
+
+// TestCompareReusesCachedOptimum: a compare is its two uniform-width
+// baselines plus the modulation optimum as sub-jobs, so after an
+// optimize of the same scenario its optimum event is a cache hit and
+// only the baselines solve; its bytes equal a fresh engine's compare,
+// and a replayed stream carries the same three designs.
+func TestCompareReusesCachedOptimum(t *testing.T) {
+	scn := twoChannelScenario()
+	scn.Segments, scn.OuterIterations = 2, 1
+	optimize := &Job{Kind: KindOptimize, Scenario: scn}
+	compare := &Job{Kind: KindCompare, Scenario: scn}
+
+	eng := New(16)
+	opt, err := eng.Run(context.Background(), optimize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []PointEvent
+	res, info, err := eng.RunStream(context.Background(), compare, func(ev PointEvent) error {
+		events = append(events, ev)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.CacheHit || info.Coalesced {
+		t.Fatalf("first compare served as %+v", info)
+	}
+	if len(events) != 3 {
+		t.Fatalf("%d point events, want 3", len(events))
+	}
+	for i, ev := range events {
+		if ev.Index != i || ev.Total != 3 || ev.Design == nil {
+			t.Fatalf("event %d: %+v", i, ev)
+		}
+		if hit := ev.Info.CacheHit; hit != (i == 2) {
+			t.Errorf("event %d cache hit %v, want %v", i, hit, i == 2)
+		}
+	}
+	if events[2].Design != opt.Optimize || res.Compare.Optimal != opt.Optimize {
+		t.Error("compare did not reuse the cached optimum")
+	}
+	if res.Compare.MinWidth != events[0].Design || res.Compare.MaxWidth != events[1].Design {
+		t.Error("compare baselines differ from their events")
+	}
+	// Optimize, compare and its two baselines solved; the optimum hit.
+	if st := eng.Stats(); st.Misses != 4 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 4 misses / 1 hit", st)
+	}
+
+	fresh, err := New(16).Run(context.Background(), compare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resultBytes(t, res), resultBytes(t, fresh)) {
+		t.Fatal("compare after a cached optimize differs from a fresh engine's compare")
+	}
+
+	var replayed []PointEvent
+	if _, info, err := eng.RunStream(context.Background(), compare, func(ev PointEvent) error {
+		replayed = append(replayed, ev)
+		return nil
+	}); err != nil || !info.CacheHit {
+		t.Fatalf("replay: info %+v, err %v", info, err)
+	}
+	if len(replayed) != 3 {
+		t.Fatalf("replay carried %d events, want 3", len(replayed))
+	}
+	for i, ev := range replayed {
+		if ev.Info.Hash != events[i].Info.Hash || ev.Design != events[i].Design {
+			t.Errorf("replayed event %d differs: %+v vs %+v", i, ev, events[i])
+		}
+	}
+}

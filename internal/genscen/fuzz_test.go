@@ -8,11 +8,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/genscen/props"
 	"repro/internal/scenario"
+	"repro/internal/scenario/scenariotest"
 )
 
 // FuzzScenario fuzzes the generator over the full int64 seed space: any
 // seed whatsoever must yield a valid, deterministic, round-trippable
-// scenario. The committed files under testdata/fuzz/FuzzScenario seed
+// scenario whose build-free checks agree with its builders. The
+// committed files under testdata/fuzz/FuzzScenario seed
 // the corpus with the interesting boundary draws (zero, negative, the
 // int64 extremes and a spread of corpus seeds).
 func FuzzScenario(f *testing.F) {
@@ -43,6 +45,12 @@ func FuzzScenario(f *testing.F) {
 		}
 		if _, err := back.Spec(); err != nil {
 			t.Fatalf("seed %d: round-tripped spec: %v", seed, err)
+		}
+		// The build-free checks job preparation runs give the builders'
+		// verdicts: Check that of Spec, CheckTrace and CheckRuntime those
+		// of the trace and runtime builders.
+		if err := scenariotest.CheckAgreement(&back); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Every draw canonicalizes as an engine job with a stable address.
 		p1, err := engine.PrepareJob(CompareJob(file))

@@ -48,8 +48,8 @@ func (tr *Trace) Validate() error {
 		return fmt.Errorf("power: trace phase 0 has no channel loads")
 	}
 	for i, ph := range tr.Phases {
-		if err := units.CheckPositive(fmt.Sprintf("trace phase %d duration", i), ph.Duration); err != nil {
-			return fmt.Errorf("power: %w", err)
+		if err := CheckPhaseDuration(i, ph.Duration); err != nil {
+			return err
 		}
 		if len(ph.Loads) != n {
 			return fmt.Errorf("power: trace phase %d has %d channels, phase 0 has %d",
@@ -60,6 +60,15 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("power: trace phase %d channel %d has nil flux", i, k)
 			}
 		}
+	}
+	return nil
+}
+
+// CheckPhaseDuration is Validate's check of phase i's dwell time in
+// seconds, for callers that check a schedule before building its loads.
+func CheckPhaseDuration(i int, d float64) error {
+	if err := units.CheckPositive(fmt.Sprintf("trace phase %d duration", i), d); err != nil {
+		return fmt.Errorf("power: %w", err)
 	}
 	return nil
 }

@@ -116,38 +116,48 @@ func (d *Die) die(label string, length float64) (*floorplan.Die, error) {
 	return out, nil
 }
 
+// check runs rasterize's checks against the resolved stack parameters
+// and returns the two dies and the channel count (one channel strip per
+// cluster width across the dies), without integrating the power maps.
+func (fp *Floorplan) check(p compact.Params) (top, bottom *floorplan.Die, n int, err error) {
+	if fp.FluxSegments < 0 {
+		return nil, nil, 0, fmt.Errorf("scenario: floorplan flux_segments %d < 0", fp.FluxSegments)
+	}
+	if fp.Top.WidthMM != fp.Bottom.WidthMM {
+		return nil, nil, 0, fmt.Errorf("scenario: floorplan die widths differ: top %g mm, bottom %g mm",
+			fp.Top.WidthMM, fp.Bottom.WidthMM)
+	}
+	if top, err = fp.Top.die("top", p.Length); err != nil {
+		return nil, nil, 0, err
+	}
+	if bottom, err = fp.Bottom.die("bottom", p.Length); err != nil {
+		return nil, nil, 0, err
+	}
+	clusterW := p.ClusterWidth()
+	widthY := units.Millimeters(fp.Top.WidthMM)
+	nf := widthY / clusterW
+	n = int(nf + 0.5)
+	if n < 1 || math.Abs(float64(n)*clusterW-widthY) > 1e-9*widthY {
+		return nil, nil, 0, fmt.Errorf("scenario: floorplan die width %g mm is not a whole number of cluster widths (%g mm each; %g clusters)",
+			fp.Top.WidthMM, units.ToMillimeters(clusterW), nf)
+	}
+	return top, bottom, n, nil
+}
+
 // rasterize integrates the floorplan into per-channel W/cm² segment
 // lists against the resolved stack parameters: one channel strip per
 // cluster width across the dies, FluxSegments slices along the flow,
 // exact block-rectangle integration (no sampling error).
 func (fp *Floorplan) rasterize(p compact.Params, mode floorplan.Mode) ([]Channel, error) {
-	if fp.FluxSegments < 0 {
-		return nil, fmt.Errorf("scenario: floorplan flux_segments %d < 0", fp.FluxSegments)
+	top, bottom, n, err := fp.check(p)
+	if err != nil {
+		return nil, err
 	}
 	segs := fp.FluxSegments
 	if segs == 0 {
 		segs = 8
 	}
-	if fp.Top.WidthMM != fp.Bottom.WidthMM {
-		return nil, fmt.Errorf("scenario: floorplan die widths differ: top %g mm, bottom %g mm",
-			fp.Top.WidthMM, fp.Bottom.WidthMM)
-	}
-	top, err := fp.Top.die("top", p.Length)
-	if err != nil {
-		return nil, err
-	}
-	bottom, err := fp.Bottom.die("bottom", p.Length)
-	if err != nil {
-		return nil, err
-	}
 	clusterW := p.ClusterWidth()
-	widthY := units.Millimeters(fp.Top.WidthMM)
-	nf := widthY / clusterW
-	n := int(nf + 0.5)
-	if n < 1 || math.Abs(float64(n)*clusterW-widthY) > 1e-9*widthY {
-		return nil, fmt.Errorf("scenario: floorplan die width %g mm is not a whole number of cluster widths (%g mm each; %g clusters)",
-			fp.Top.WidthMM, units.ToMillimeters(clusterW), nf)
-	}
 	topFlux, err := power.ChannelFluxes(top, mode, n, segs)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: floorplan top die: %w", err)

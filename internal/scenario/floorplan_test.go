@@ -99,93 +99,95 @@ func TestFloorplanMultiChannel(t *testing.T) {
 	}
 }
 
+// floorplanErrorCases mutate a valid two-die floorplan file into one Spec
+// must reject with an error mentioning want.
+var floorplanErrorCases = []struct {
+	name string
+	mut  func(f *File)
+	want string
+}{
+	{
+		name: "zero-area block",
+		mut: func(f *File) {
+			f.Floorplan.Top.Blocks = []Block{{Kind: "core", XMM: 1, YMM: 0.2, WMM: 0, HMM: 0.5, PeakWcm2: 100}}
+		},
+		want: "zero or negative area",
+	},
+	{
+		name: "negative-extent block",
+		mut: func(f *File) {
+			f.Floorplan.Top.Blocks = []Block{{Kind: "l2", XMM: 1, YMM: 0.2, WMM: 2, HMM: -0.5, PeakWcm2: 20}}
+		},
+		want: "zero or negative area",
+	},
+	{
+		name: "overlapping blocks",
+		mut: func(f *File) {
+			f.Floorplan.Top.Blocks = []Block{
+				{Kind: "core", XMM: 1, YMM: 0.1, WMM: 3, HMM: 0.5, PeakWcm2: 100},
+				{Kind: "accel", XMM: 3, YMM: 0.3, WMM: 3, HMM: 0.5, PeakWcm2: 150},
+			}
+		},
+		want: "overlap",
+	},
+	{
+		name: "block exceeds the die",
+		mut: func(f *File) {
+			f.Floorplan.Bottom.Blocks = []Block{{Kind: "io", XMM: 8, YMM: 0, WMM: 5, HMM: 1, PeakWcm2: 20}}
+		},
+		want: "exceeds the die",
+	},
+	{
+		name: "average above peak",
+		mut: func(f *File) {
+			f.Floorplan.Top.Blocks = []Block{{Kind: "core", XMM: 1, YMM: 0.2, WMM: 2, HMM: 0.5, PeakWcm2: 50, AvgWcm2: 60}}
+		},
+		want: "average exceeds peak",
+	},
+	{
+		name: "unknown block kind",
+		mut: func(f *File) {
+			f.Floorplan.Top.Blocks = []Block{{Kind: "gpu", XMM: 1, YMM: 0.2, WMM: 2, HMM: 0.5, PeakWcm2: 50}}
+		},
+		want: "unknown block kind",
+	},
+	{
+		name: "die width not a whole number of clusters",
+		mut: func(f *File) {
+			f.Floorplan.Top.WidthMM = 1.3
+			f.Floorplan.Bottom.WidthMM = 1.3
+		},
+		want: "whole number of cluster widths",
+	},
+	{
+		name: "mismatched die widths",
+		mut: func(f *File) {
+			f.Floorplan.Bottom.WidthMM = 2
+		},
+		want: "die widths differ",
+	},
+	{
+		name: "floorplan with preset",
+		mut:  func(f *File) { f.Preset = "testA" },
+		want: "both preset",
+	},
+	{
+		name: "floorplan with explicit channels",
+		mut: func(f *File) {
+			f.Channels = []Channel{{TopWcm2: []float64{50}, BottomWcm2: []float64{50}}}
+		},
+		want: "both a floorplan and explicit channels",
+	},
+}
+
 // TestFloorplanValidation: the generator-exercised failure modes —
 // zero-area and overlapping blocks, bad geometry, bad coupling — fail at
 // scenario validation with errors naming the offending block, instead of
 // surfacing as downstream solve failures.
 func TestFloorplanValidation(t *testing.T) {
-	base := func() *File { return fpFile(uniformDie(40), uniformDie(40)) }
-	cases := []struct {
-		name string
-		mut  func(f *File)
-		want string
-	}{
-		{
-			name: "zero-area block",
-			mut: func(f *File) {
-				f.Floorplan.Top.Blocks = []Block{{Kind: "core", XMM: 1, YMM: 0.2, WMM: 0, HMM: 0.5, PeakWcm2: 100}}
-			},
-			want: "zero or negative area",
-		},
-		{
-			name: "negative-extent block",
-			mut: func(f *File) {
-				f.Floorplan.Top.Blocks = []Block{{Kind: "l2", XMM: 1, YMM: 0.2, WMM: 2, HMM: -0.5, PeakWcm2: 20}}
-			},
-			want: "zero or negative area",
-		},
-		{
-			name: "overlapping blocks",
-			mut: func(f *File) {
-				f.Floorplan.Top.Blocks = []Block{
-					{Kind: "core", XMM: 1, YMM: 0.1, WMM: 3, HMM: 0.5, PeakWcm2: 100},
-					{Kind: "accel", XMM: 3, YMM: 0.3, WMM: 3, HMM: 0.5, PeakWcm2: 150},
-				}
-			},
-			want: "overlap",
-		},
-		{
-			name: "block exceeds the die",
-			mut: func(f *File) {
-				f.Floorplan.Bottom.Blocks = []Block{{Kind: "io", XMM: 8, YMM: 0, WMM: 5, HMM: 1, PeakWcm2: 20}}
-			},
-			want: "exceeds the die",
-		},
-		{
-			name: "average above peak",
-			mut: func(f *File) {
-				f.Floorplan.Top.Blocks = []Block{{Kind: "core", XMM: 1, YMM: 0.2, WMM: 2, HMM: 0.5, PeakWcm2: 50, AvgWcm2: 60}}
-			},
-			want: "average exceeds peak",
-		},
-		{
-			name: "unknown block kind",
-			mut: func(f *File) {
-				f.Floorplan.Top.Blocks = []Block{{Kind: "gpu", XMM: 1, YMM: 0.2, WMM: 2, HMM: 0.5, PeakWcm2: 50}}
-			},
-			want: "unknown block kind",
-		},
-		{
-			name: "die width not a whole number of clusters",
-			mut: func(f *File) {
-				f.Floorplan.Top.WidthMM = 1.3
-				f.Floorplan.Bottom.WidthMM = 1.3
-			},
-			want: "whole number of cluster widths",
-		},
-		{
-			name: "mismatched die widths",
-			mut: func(f *File) {
-				f.Floorplan.Bottom.WidthMM = 2
-			},
-			want: "die widths differ",
-		},
-		{
-			name: "floorplan with preset",
-			mut:  func(f *File) { f.Preset = "testA" },
-			want: "both preset",
-		},
-		{
-			name: "floorplan with explicit channels",
-			mut: func(f *File) {
-				f.Channels = []Channel{{TopWcm2: []float64{50}, BottomWcm2: []float64{50}}}
-			},
-			want: "both a floorplan and explicit channels",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range floorplanErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := base()
+			f := fpFile(uniformDie(40), uniformDie(40))
 			tc.mut(f)
 			_, err := f.Spec()
 			if err == nil {

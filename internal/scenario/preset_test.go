@@ -123,32 +123,38 @@ func TestPresetParamOverrides(t *testing.T) {
 		t.Errorf("solver override not applied")
 	}
 
-	for _, bad := range []File{
-		{Preset: "testA", Params: Params{PitchUM: 120}},
-		{Preset: "testA", Params: Params{LengthMM: 25}},
-		{Preset: "testA", Params: Params{ClusterSize: 5}},
-	} {
+	for _, bad := range presetGeometryOverrides {
 		if _, err := bad.Spec(); err == nil || !strings.Contains(err.Error(), "cannot override") {
 			t.Errorf("geometry override %+v: err = %v, want rejection", bad.Params, err)
 		}
 	}
 }
 
+// presetGeometryOverrides are preset files overriding geometry the
+// preset loads bake in.
+var presetGeometryOverrides = []File{
+	{Preset: "testA", Params: Params{PitchUM: 120}},
+	{Preset: "testA", Params: Params{LengthMM: 25}},
+	{Preset: "testA", Params: Params{ClusterSize: 5}},
+}
+
+// presetErrorCases are inconsistent preset files.
+var presetErrorCases = []struct {
+	name string
+	file File
+	want string
+}{
+	{"preset plus channels", File{Preset: "testA",
+		Channels: []Channel{{TopWcm2: []float64{50}, BottomWcm2: []float64{50}}}}, "both preset"},
+	{"unknown preset", File{Preset: "testC"}, "unknown preset"},
+	{"map-only preset", File{Preset: "fig1b"}, "grid-map stack"},
+	{"bad mode", File{Preset: "arch1", Mode: "typical"}, "unknown power mode"},
+	{"bad solver", File{Preset: "testA", Solver: "gurobi"}, "unknown solver"},
+}
+
 // TestPresetRejections: inconsistent preset files fail loudly.
 func TestPresetRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		file File
-		want string
-	}{
-		{"preset plus channels", File{Preset: "testA",
-			Channels: []Channel{{TopWcm2: []float64{50}, BottomWcm2: []float64{50}}}}, "both preset"},
-		{"unknown preset", File{Preset: "testC"}, "unknown preset"},
-		{"map-only preset", File{Preset: "fig1b"}, "grid-map stack"},
-		{"bad mode", File{Preset: "arch1", Mode: "typical"}, "unknown power mode"},
-		{"bad solver", File{Preset: "testA", Solver: "gurobi"}, "unknown solver"},
-	}
-	for _, tc := range cases {
+	for _, tc := range presetErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.file.Spec()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

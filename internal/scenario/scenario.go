@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/compact"
 	"repro/internal/control"
@@ -184,103 +185,77 @@ func (f *File) FloorplanMode() (floorplan.Mode, error) {
 	}
 }
 
-// presetSpec builds the preset's canonical control.Spec before the file's
-// overrides are applied.
-func (f *File) presetSpec() (*control.Spec, error) {
-	if len(f.Channels) != 0 {
-		return nil, fmt.Errorf("scenario: %q sets both preset %q and explicit channels", f.Name, f.Preset)
-	}
-	// The preset loads bake in the Table I pitch, cluster size and die
-	// length; overriding those silently would desynchronize the loads
-	// from the geometry.
-	switch {
-	case f.Params.PitchUM != 0:
-		return nil, fmt.Errorf("scenario: preset %q cannot override pitch_um (the preset loads bake it in)", f.Preset)
-	case f.Params.LengthMM != 0:
-		return nil, fmt.Errorf("scenario: preset %q cannot override length_mm (the preset loads bake it in)", f.Preset)
-	case f.Params.ClusterSize != 0:
-		return nil, fmt.Errorf("scenario: preset %q cannot override cluster_size (the preset loads bake it in)", f.Preset)
-	}
-	mode, err := f.FloorplanMode()
-	if err != nil {
-		return nil, err
-	}
-	switch f.Preset {
-	case "testA":
-		return core.TestASpec()
-	case "testB":
-		cfg := power.DefaultTestB()
-		if f.Seed != nil {
-			cfg.Seed = *f.Seed
-		}
-		return core.TestBSpec(cfg)
-	case "arch1", "arch2", "arch3":
-		// The power-map discretization is pinned to the experiments'
-		// canonical 20 segments; f.Segments below only changes the
-		// width-control discretization (matching the historical CLI
-		// behavior of overriding Segments after construction).
-		return core.ArchSpec(int(f.Preset[4]-'0'), mode, control.DefaultSegments)
-	case "fig1a", "fig1b":
-		return nil, fmt.Errorf("scenario: preset %q is a grid-map stack, not an optimizable scenario", f.Preset)
-	default:
-		return nil, fmt.Errorf("scenario: unknown preset %q", f.Preset)
-	}
+// checked is what Spec's checks resolve before any load is built: the
+// spec's settings (every field but Channels), the number of channel
+// loads the spec will carry, and the power mode they are integrated in.
+type checked struct {
+	spec     control.Spec
+	channels int
+	mode     floorplan.Mode
 }
 
-// resolveParams layers the file's engineering-unit overrides on the
-// Table I defaults (zero/absent fields keep the default).
-func (f *File) resolveParams() compact.Params {
-	p := compact.DefaultParams()
-	if f.Params.SiliconConductivity > 0 {
-		p.SiliconConductivity = f.Params.SiliconConductivity
+// Check runs Spec's checks without building the spec: floorplans are
+// not rasterized, Test-B loads are not drawn and arch power maps are not
+// integrated. Spec runs these checks before it builds, so Check fails
+// exactly when Spec does, with the same error, save for a floorplan
+// whose power integration overflows float64 (DESIGN.md §9.4).
+func (f *File) Check() error {
+	_, err := f.check()
+	return err
+}
+
+// CheckTrace runs the checks of Spec and then those of BuildTrace
+// against the spec Spec would build, without building either. Like
+// Check, it does not compute loads, so a phase scale that overflows the
+// base loads passes it (DESIGN.md §9.4).
+func (f *File) CheckTrace() error {
+	c, err := f.check()
+	if err != nil {
+		return err
 	}
-	if f.Params.PitchUM > 0 {
-		p.Pitch = units.Micrometers(f.Params.PitchUM)
-	}
-	if f.Params.SlabHeightUM > 0 {
-		p.SlabHeight = units.Micrometers(f.Params.SlabHeightUM)
-	}
-	if f.Params.ChannelHeightUM > 0 {
-		p.ChannelHeight = units.Micrometers(f.Params.ChannelHeightUM)
-	}
-	if f.Params.LengthMM > 0 {
-		p.Length = units.Millimeters(f.Params.LengthMM)
-	}
-	if f.Params.InletTempC != nil {
-		p.InletTemp = units.Celsius(*f.Params.InletTempC)
-	}
-	if f.Params.FlowRateMLMin > 0 {
-		p.FlowRatePerChannel = units.MilliLitersPerMinute(f.Params.FlowRateMLMin)
-	}
-	if f.Params.ClusterSize > 0 {
-		p.ClusterSize = f.Params.ClusterSize
-	}
-	return p
+	return f.checkTrace(c.spec.Params, c.channels)
+}
+
+// CheckRuntime runs every check of RuntimeSpec without building the
+// spec or the trace.
+func (f *File) CheckRuntime() error {
+	_, _, err := f.checkRuntime()
+	return err
 }
 
 // Spec converts the file into a validated control.Spec.
 func (f *File) Spec() (*control.Spec, error) {
+	c, err := f.check()
+	if err != nil {
+		return nil, err
+	}
+	return f.build(&c)
+}
+
+// check runs Spec's checks and resolves the spec's settings.
+func (f *File) check() (checked, error) {
 	if f.Preset != "" {
 		if f.Floorplan != nil {
-			return nil, fmt.Errorf("scenario: %q sets both preset %q and a floorplan", f.Name, f.Preset)
+			return checked{}, fmt.Errorf("scenario: %q sets both preset %q and a floorplan", f.Name, f.Preset)
 		}
-		return f.specFromPreset()
+		return f.checkPreset()
 	}
 	p := f.resolveParams()
 
-	channels := f.Channels
+	c := checked{channels: len(f.Channels)}
 	if f.Floorplan != nil {
 		if len(f.Channels) != 0 {
-			return nil, fmt.Errorf("scenario: %q sets both a floorplan and explicit channels", f.Name)
+			return checked{}, fmt.Errorf("scenario: %q sets both a floorplan and explicit channels", f.Name)
 		}
 		mode, err := f.FloorplanMode()
 		if err != nil {
-			return nil, err
+			return checked{}, err
 		}
-		channels, err = f.Floorplan.rasterize(p, mode)
+		_, _, n, err := f.Floorplan.check(p)
 		if err != nil {
-			return nil, err
+			return checked{}, err
 		}
+		c.channels, c.mode = n, mode
 	}
 
 	bounds := microchannel.Bounds{
@@ -291,35 +266,30 @@ func (f *File) Spec() (*control.Spec, error) {
 		bounds = microchannel.Bounds{Min: units.Micrometers(10), Max: units.Micrometers(50)}
 	}
 
-	if len(channels) == 0 {
-		return nil, fmt.Errorf("scenario: %q has no channels", f.Name)
+	if c.channels == 0 {
+		return checked{}, fmt.Errorf("scenario: %q has no channels", f.Name)
 	}
-	loads := make([]control.ChannelLoad, len(channels))
 	clusterW := p.ClusterWidth()
-	for k, ch := range channels {
-		top, err := fluxFromWcm2(ch.TopWcm2, clusterW, p.Length)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: channel %d top: %w", k, err)
+	for k, ch := range f.Channels {
+		if err := checkFlux(ch.TopWcm2, clusterW, p.Length); err != nil {
+			return checked{}, fmt.Errorf("scenario: channel %d top: %w", k, err)
 		}
-		bottom, err := fluxFromWcm2(ch.BottomWcm2, clusterW, p.Length)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: channel %d bottom: %w", k, err)
+		if err := checkFlux(ch.BottomWcm2, clusterW, p.Length); err != nil {
+			return checked{}, fmt.Errorf("scenario: channel %d bottom: %w", k, err)
 		}
-		loads[k] = control.ChannelLoad{FluxTop: top, FluxBottom: bottom}
 	}
 
 	solver, err := parseSolver(f.Solver)
 	if err != nil {
-		return nil, err
+		return checked{}, err
 	}
 	gradient, err := parseGradient(f.Gradient)
 	if err != nil {
-		return nil, err
+		return checked{}, err
 	}
 
-	spec := &control.Spec{
+	c.spec = control.Spec{
 		Params:          p,
-		Channels:        loads,
 		Bounds:          bounds,
 		Segments:        f.Segments,
 		OuterIterations: f.OuterIterations,
@@ -329,45 +299,58 @@ func (f *File) Spec() (*control.Spec, error) {
 		Gradient:        gradient,
 	}
 	if f.MaxPressureBar == 0 {
-		spec.MaxPressure = 0 // control applies the 10-bar default
+		c.spec.MaxPressure = 0 // control applies the 10-bar default
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if err := c.spec.ValidateSettings(); err != nil {
+		return checked{}, err
 	}
-	return spec, nil
+	return c, nil
 }
 
-func parseSolver(name string) (control.Solver, error) {
-	switch name {
-	case "", "lbfgsb":
-		return control.SolverLBFGSB, nil
-	case "projgrad":
-		return control.SolverProjGrad, nil
-	case "neldermead":
-		return control.SolverNelderMead, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown solver %q", name)
+// checkPreset runs the checks of a preset scenario and layers the file's
+// overrides (bounds, discretization, budget, solver) on the preset's
+// settings. Those settings are the ones the core builders give every
+// preset spec (TestPresetSettings pins them).
+func (f *File) checkPreset() (checked, error) {
+	if len(f.Channels) != 0 {
+		return checked{}, fmt.Errorf("scenario: %q sets both preset %q and explicit channels", f.Name, f.Preset)
 	}
-}
-
-func parseGradient(name string) (control.Gradient, error) {
-	switch name {
-	case "", "adjoint":
-		return control.GradientAdjoint, nil
-	case "fd":
-		return control.GradientFD, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown gradient mode %q (want adjoint or fd)", name)
+	// The preset loads bake in the Table I pitch, cluster size and die
+	// length; overriding those silently would desynchronize the loads
+	// from the geometry.
+	switch {
+	case f.Params.PitchUM != 0:
+		return checked{}, fmt.Errorf("scenario: preset %q cannot override pitch_um (the preset loads bake it in)", f.Preset)
+	case f.Params.LengthMM != 0:
+		return checked{}, fmt.Errorf("scenario: preset %q cannot override length_mm (the preset loads bake it in)", f.Preset)
+	case f.Params.ClusterSize != 0:
+		return checked{}, fmt.Errorf("scenario: preset %q cannot override cluster_size (the preset loads bake it in)", f.Preset)
 	}
-}
-
-// specFromPreset builds the preset spec and layers the file's overrides
-// (bounds, discretization, budget, solver) on top.
-func (f *File) specFromPreset() (*control.Spec, error) {
-	spec, err := f.presetSpec()
+	mode, err := f.FloorplanMode()
 	if err != nil {
-		return nil, err
+		return checked{}, err
 	}
+	c := checked{
+		spec: control.Spec{
+			Params:   compact.DefaultParams(),
+			Bounds:   core.DefaultBounds(),
+			Segments: control.DefaultSegments,
+		},
+		channels: 1,
+		mode:     mode,
+	}
+	switch f.Preset {
+	case "testA", "testB":
+	case "arch1", "arch2", "arch3":
+		c.channels = core.ArchChannels
+		c.spec.EqualPressure = true
+	case "fig1a", "fig1b":
+		return checked{}, fmt.Errorf("scenario: preset %q is a grid-map stack, not an optimizable scenario", f.Preset)
+	default:
+		return checked{}, fmt.Errorf("scenario: unknown preset %q", f.Preset)
+	}
+
+	spec := &c.spec
 	// Non-geometry parameter overrides still apply to presets.
 	if f.Params.SiliconConductivity > 0 {
 		spec.Params.SiliconConductivity = f.Params.SiliconConductivity
@@ -402,72 +385,217 @@ func (f *File) specFromPreset() (*control.Spec, error) {
 	if f.EqualPressure {
 		spec.EqualPressure = true
 	}
-	solver, err := parseSolver(f.Solver)
+	if spec.Solver, err = parseSolver(f.Solver); err != nil {
+		return checked{}, err
+	}
+	if spec.Gradient, err = parseGradient(f.Gradient); err != nil {
+		return checked{}, err
+	}
+	if err := spec.ValidateSettings(); err != nil {
+		return checked{}, err
+	}
+	return c, nil
+}
+
+// build attaches the channel loads to checked settings: the preset's
+// loads from its core builder, or the explicit or rasterized channels.
+func (f *File) build(c *checked) (*control.Spec, error) {
+	spec := c.spec
+	var (
+		preset *control.Spec
+		err    error
+	)
+	switch f.Preset {
+	case "testA":
+		preset, err = core.TestASpec()
+	case "testB":
+		cfg := power.DefaultTestB()
+		if f.Seed != nil {
+			cfg.Seed = *f.Seed
+		}
+		preset, err = core.TestBSpec(cfg)
+	case "arch1", "arch2", "arch3":
+		// The power-map discretization is pinned to the experiments'
+		// canonical 20 segments; f.Segments only changes the
+		// width-control discretization (matching the historical CLI
+		// behavior of overriding Segments after construction).
+		preset, err = core.ArchSpec(int(f.Preset[4]-'0'), c.mode, control.DefaultSegments)
+	default:
+		spec.Channels, err = f.channelLoads(&spec.Params, c.mode)
+	}
 	if err != nil {
 		return nil, err
 	}
-	spec.Solver = solver
-	gradient, err := parseGradient(f.Gradient)
-	if err != nil {
-		return nil, err
+	if preset != nil {
+		spec.Channels = preset.Channels
 	}
-	spec.Gradient = gradient
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	return &spec, nil
+}
+
+// channelLoads converts the explicit or rasterized channels of a checked
+// non-preset file into loads.
+func (f *File) channelLoads(p *compact.Params, mode floorplan.Mode) ([]control.ChannelLoad, error) {
+	channels := f.Channels
+	if f.Floorplan != nil {
+		var err error
+		if channels, err = f.Floorplan.rasterize(*p, mode); err != nil {
+			return nil, err
+		}
 	}
-	return spec, nil
+	loads := make([]control.ChannelLoad, len(channels))
+	clusterW := p.ClusterWidth()
+	for k, ch := range channels {
+		top, err := fluxFromWcm2(ch.TopWcm2, clusterW, p.Length)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: channel %d top: %w", k, err)
+		}
+		bottom, err := fluxFromWcm2(ch.BottomWcm2, clusterW, p.Length)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: channel %d bottom: %w", k, err)
+		}
+		loads[k] = control.ChannelLoad{FluxTop: top, FluxBottom: bottom}
+	}
+	return loads, nil
+}
+
+// resolveParams layers the file's engineering-unit overrides on the
+// Table I defaults (zero/absent fields keep the default).
+func (f *File) resolveParams() compact.Params {
+	p := compact.DefaultParams()
+	if f.Params.SiliconConductivity > 0 {
+		p.SiliconConductivity = f.Params.SiliconConductivity
+	}
+	if f.Params.PitchUM > 0 {
+		p.Pitch = units.Micrometers(f.Params.PitchUM)
+	}
+	if f.Params.SlabHeightUM > 0 {
+		p.SlabHeight = units.Micrometers(f.Params.SlabHeightUM)
+	}
+	if f.Params.ChannelHeightUM > 0 {
+		p.ChannelHeight = units.Micrometers(f.Params.ChannelHeightUM)
+	}
+	if f.Params.LengthMM > 0 {
+		p.Length = units.Millimeters(f.Params.LengthMM)
+	}
+	if f.Params.InletTempC != nil {
+		p.InletTemp = units.Celsius(*f.Params.InletTempC)
+	}
+	if f.Params.FlowRateMLMin > 0 {
+		p.FlowRatePerChannel = units.MilliLitersPerMinute(f.Params.FlowRateMLMin)
+	}
+	if f.Params.ClusterSize > 0 {
+		p.ClusterSize = f.Params.ClusterSize
+	}
+	return p
+}
+
+func parseSolver(name string) (control.Solver, error) {
+	switch name {
+	case "", "lbfgsb":
+		return control.SolverLBFGSB, nil
+	case "projgrad":
+		return control.SolverProjGrad, nil
+	case "neldermead":
+		return control.SolverNelderMead, nil
+	default:
+		return 0, fmt.Errorf("scenario: unknown solver %q", name)
+	}
+}
+
+func parseGradient(name string) (control.Gradient, error) {
+	switch name {
+	case "", "adjoint":
+		return control.GradientAdjoint, nil
+	case "fd":
+		return control.GradientFD, nil
+	default:
+		return 0, fmt.Errorf("scenario: unknown gradient mode %q (want adjoint or fd)", name)
+	}
 }
 
 // BuildTrace converts the file's trace section into a power.Trace against
 // the resolved parameters: scale phases multiply the base channels,
 // explicit-channel phases are converted like the base map.
 func (f *File) BuildTrace(spec *control.Spec) (*power.Trace, error) {
+	if err := f.checkTrace(spec.Params, len(spec.Channels)); err != nil {
+		return nil, err
+	}
+	return f.buildTrace(spec)
+}
+
+// checkTrace runs BuildTrace's checks against a base map of n channels
+// over params p, including power.Trace.Validate's check of the built
+// schedule, without building a load.
+func (f *File) checkTrace(p compact.Params, n int) error {
 	if f.Trace == nil {
-		return nil, fmt.Errorf("scenario: %q has no trace", f.Name)
+		return fmt.Errorf("scenario: %q has no trace", f.Name)
 	}
 	if len(f.Trace.Phases) == 0 {
-		return nil, fmt.Errorf("scenario: %q trace has no phases", f.Name)
+		return fmt.Errorf("scenario: %q trace has no phases", f.Name)
 	}
+	clusterW := p.ClusterWidth()
+	for i, ph := range f.Trace.Phases {
+		switch {
+		case ph.Scale != nil && ph.Channels != nil:
+			return fmt.Errorf("scenario: trace phase %d sets both scale and channels", i)
+		case ph.Scale != nil:
+			if *ph.Scale < 0 {
+				return fmt.Errorf("scenario: trace phase %d negative scale %g", i, *ph.Scale)
+			}
+		case ph.Channels != nil:
+			if len(ph.Channels) != n {
+				return fmt.Errorf("scenario: trace phase %d has %d channels, base has %d",
+					i, len(ph.Channels), n)
+			}
+			for k, ch := range ph.Channels {
+				if err := checkFlux(ch.TopWcm2, clusterW, p.Length); err != nil {
+					return fmt.Errorf("scenario: trace phase %d channel %d top: %w", i, k, err)
+				}
+				if err := checkFlux(ch.BottomWcm2, clusterW, p.Length); err != nil {
+					return fmt.Errorf("scenario: trace phase %d channel %d bottom: %w", i, k, err)
+				}
+			}
+		default:
+			return fmt.Errorf("scenario: trace phase %d needs scale or channels", i)
+		}
+	}
+	// Every phase carries n loads, so the built schedule's validation
+	// reduces to its dwell times.
+	for i, ph := range f.Trace.Phases {
+		if err := power.CheckPhaseDuration(i, units.Milliseconds(ph.DurationMS)); err != nil {
+			return fmt.Errorf("scenario: %q: %w", f.Name, err)
+		}
+	}
+	return nil
+}
+
+// buildTrace builds a checked trace section against spec.
+func (f *File) buildTrace(spec *control.Spec) (*power.Trace, error) {
 	base := make([]power.PhaseLoad, len(spec.Channels))
 	for k, ch := range spec.Channels {
 		base[k] = power.PhaseLoad{Top: ch.FluxTop, Bottom: ch.FluxBottom}
 	}
 	clusterW := spec.Params.ClusterWidth()
-	tr := &power.Trace{Periodic: f.Trace.Periodic}
+	tr := &power.Trace{Periodic: f.Trace.Periodic, Phases: make([]power.Phase, len(f.Trace.Phases))}
 	for i, ph := range f.Trace.Phases {
-		out := power.Phase{Duration: units.Milliseconds(ph.DurationMS)}
-		switch {
-		case ph.Scale != nil && ph.Channels != nil:
-			return nil, fmt.Errorf("scenario: trace phase %d sets both scale and channels", i)
-		case ph.Scale != nil:
-			if *ph.Scale < 0 {
-				return nil, fmt.Errorf("scenario: trace phase %d negative scale %g", i, *ph.Scale)
-			}
+		out := &tr.Phases[i]
+		out.Duration = units.Milliseconds(ph.DurationMS)
+		if ph.Scale != nil {
 			out.Loads = power.ScaleLoads(base, *ph.Scale)
-		case ph.Channels != nil:
-			if len(ph.Channels) != len(base) {
-				return nil, fmt.Errorf("scenario: trace phase %d has %d channels, base has %d",
-					i, len(ph.Channels), len(base))
-			}
-			out.Loads = make([]power.PhaseLoad, len(ph.Channels))
-			for k, ch := range ph.Channels {
-				top, err := fluxFromWcm2(ch.TopWcm2, clusterW, spec.Params.Length)
-				if err != nil {
-					return nil, fmt.Errorf("scenario: trace phase %d channel %d top: %w", i, k, err)
-				}
-				bottom, err := fluxFromWcm2(ch.BottomWcm2, clusterW, spec.Params.Length)
-				if err != nil {
-					return nil, fmt.Errorf("scenario: trace phase %d channel %d bottom: %w", i, k, err)
-				}
-				out.Loads[k] = power.PhaseLoad{Top: top, Bottom: bottom}
-			}
-		default:
-			return nil, fmt.Errorf("scenario: trace phase %d needs scale or channels", i)
+			continue
 		}
-		tr.Phases = append(tr.Phases, out)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario: %q: %w", f.Name, err)
+		out.Loads = make([]power.PhaseLoad, len(ph.Channels))
+		for k, ch := range ph.Channels {
+			top, err := fluxFromWcm2(ch.TopWcm2, clusterW, spec.Params.Length)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: trace phase %d channel %d top: %w", i, k, err)
+			}
+			bottom, err := fluxFromWcm2(ch.BottomWcm2, clusterW, spec.Params.Length)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: trace phase %d channel %d bottom: %w", i, k, err)
+			}
+			out.Loads[k] = power.PhaseLoad{Top: top, Bottom: bottom}
+		}
 	}
 	return tr, nil
 }
@@ -476,15 +604,30 @@ func (f *File) BuildTrace(spec *control.Spec) (*power.Trace, error) {
 // scenario: the base spec, the trace, and the runtime section's timing
 // (zero values fall through to the control package's defaults).
 func (f *File) RuntimeSpec() (*control.RuntimeSpec, error) {
-	spec, err := f.Spec()
+	c, rs, err := f.checkRuntime()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := f.BuildTrace(spec)
-	if err != nil {
+	if rs.Spec, err = f.build(&c); err != nil {
 		return nil, err
 	}
-	rs := &control.RuntimeSpec{Spec: spec, Trace: tr}
+	if rs.Trace, err = f.buildTrace(rs.Spec); err != nil {
+		return nil, err
+	}
+	return &rs, nil
+}
+
+// checkRuntime runs RuntimeSpec's checks: Spec's, BuildTrace's, and the
+// runtime section's, which it resolves into the controller settings.
+func (f *File) checkRuntime() (checked, control.RuntimeSpec, error) {
+	c, err := f.check()
+	if err != nil {
+		return checked{}, control.RuntimeSpec{}, err
+	}
+	if err := f.checkTrace(c.spec.Params, c.channels); err != nil {
+		return checked{}, control.RuntimeSpec{}, err
+	}
+	var rs control.RuntimeSpec
 	if rt := f.Runtime; rt != nil {
 		rs.Dt = units.Milliseconds(rt.DtMS)
 		rs.Epoch = units.Milliseconds(rt.EpochMS)
@@ -494,25 +637,37 @@ func (f *File) RuntimeSpec() (*control.RuntimeSpec, error) {
 		rs.NX = rt.NX
 		eng, err := grid.ParseTransientEngine(rt.Engine)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %q: %w", f.Name, err)
+			return checked{}, control.RuntimeSpec{}, fmt.Errorf("scenario: %q: %w", f.Name, err)
 		}
 		rs.Engine = eng
 	}
-	if err := rs.Validate(); err != nil {
-		return nil, err
+	if err := rs.ValidateController(); err != nil {
+		return checked{}, control.RuntimeSpec{}, err
 	}
-	return rs, nil
+	return c, rs, nil
 }
 
-func fluxFromWcm2(vals []float64, clusterWidth, length float64) (*compact.Flux, error) {
+// checkFlux runs fluxFromWcm2's checks without building the flux.
+func checkFlux(vals []float64, clusterWidth, length float64) error {
 	if len(vals) == 0 {
-		return nil, fmt.Errorf("empty flux list")
+		return fmt.Errorf("empty flux list")
 	}
-	lin := make([]float64, len(vals))
-	for i, v := range vals {
-		lin[i] = units.WattsPerCm2(v) * clusterWidth
+	var buf [32]float64
+	return compact.CheckFlux(linearFlux(buf[:0], vals, clusterWidth), length)
+}
+
+// fluxFromWcm2 builds the flux of areal W/cm² values checkFlux accepted.
+func fluxFromWcm2(vals []float64, clusterWidth, length float64) (*compact.Flux, error) {
+	return compact.NewFlux(linearFlux(make([]float64, 0, len(vals)), vals, clusterWidth), length)
+}
+
+// linearFlux appends the cluster-wide linear densities (W/m) of areal
+// W/cm² segment values to dst.
+func linearFlux(dst, vals []float64, clusterWidth float64) []float64 {
+	for _, v := range vals {
+		dst = append(dst, units.WattsPerCm2(v)*clusterWidth)
 	}
-	return compact.NewFlux(lin, length)
+	return dst
 }
 
 // Save writes the scenario file as indented JSON.
@@ -596,4 +751,63 @@ func Example() *File {
 		},
 		Runtime: &Runtime{EpochMS: 10, HorizonMS: 120, FlowScaleRange: [2]float64{0.5, 2}},
 	}
+}
+
+// Clone returns a deep copy of the file that shares no pointer or
+// backing array with f. Empty lists of omitempty fields come back nil,
+// as they do from f's JSON form decoded, so the copy validates and
+// encodes exactly like that form.
+func (f *File) Clone() File {
+	c := *f
+	c.Seed = clonePtr(f.Seed)
+	c.Params.InletTempC = clonePtr(f.Params.InletTempC)
+	c.Channels = cloneChannels(f.Channels)
+	if f.Floorplan != nil {
+		fp := *f.Floorplan
+		fp.Top.Blocks = cloneList(fp.Top.Blocks)
+		fp.Bottom.Blocks = cloneList(fp.Bottom.Blocks)
+		c.Floorplan = &fp
+	}
+	if f.Trace != nil {
+		tr := *f.Trace
+		if tr.Phases != nil {
+			tr.Phases = make([]Phase, len(f.Trace.Phases))
+			for i, ph := range f.Trace.Phases {
+				ph.Scale = clonePtr(ph.Scale)
+				ph.Channels = cloneChannels(ph.Channels)
+				tr.Phases[i] = ph
+			}
+		}
+		c.Trace = &tr
+	}
+	c.Runtime = clonePtr(f.Runtime)
+	return c
+}
+
+// cloneChannels deep-copies an omitempty channel list.
+func cloneChannels(chs []Channel) []Channel {
+	if len(chs) == 0 {
+		return nil
+	}
+	out := make([]Channel, len(chs))
+	for k, ch := range chs {
+		out[k] = Channel{TopWcm2: slices.Clone(ch.TopWcm2), BottomWcm2: slices.Clone(ch.BottomWcm2)}
+	}
+	return out
+}
+
+// cloneList copies an omitempty list; an empty one becomes nil.
+func cloneList[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
+
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }

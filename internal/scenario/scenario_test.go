@@ -96,17 +96,19 @@ func TestLoadFullScenario(t *testing.T) {
 	}
 }
 
+// loadErrorCases are scenario files Load must reject.
+var loadErrorCases = []string{
+	`{`,            // malformed
+	`{"name":"x"}`, // no channels
+	`{"channels":[{"top_wcm2":[],"bottom_wcm2":[1]}]}`,                        // empty flux
+	`{"solver":"magic","channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,      // bad solver
+	`{"gradient":"newton","channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,   // bad gradient mode
+	`{"unknown_field":1,"channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,     // unknown field
+	`{"bounds_um":[200,300],"channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`, // bounds above pitch
+}
+
 func TestLoadErrors(t *testing.T) {
-	cases := []string{
-		`{`,            // malformed
-		`{"name":"x"}`, // no channels
-		`{"channels":[{"top_wcm2":[],"bottom_wcm2":[1]}]}`,                        // empty flux
-		`{"solver":"magic","channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,      // bad solver
-		`{"gradient":"newton","channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,   // bad gradient mode
-		`{"unknown_field":1,"channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`,     // unknown field
-		`{"bounds_um":[200,300],"channels":[{"top_wcm2":[1],"bottom_wcm2":[1]}]}`, // bounds above pitch
-	}
-	for i, src := range cases {
+	for i, src := range loadErrorCases {
 		if _, _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d must fail", i)
 		}
@@ -217,18 +219,24 @@ func TestBuildTraceAndRuntimeSpec(t *testing.T) {
 	}
 }
 
+// traceErrorBase is the valid base map of buildTraceErrorCases.
+const traceErrorBase = `"channels": [{"top_wcm2": [50], "bottom_wcm2": [50]}]`
+
+// buildTraceErrorCases are scenario files whose Spec is valid but whose
+// trace BuildTrace must reject.
+var buildTraceErrorCases = []string{
+	`{` + traceErrorBase + `}`, // no trace at all
+	`{` + traceErrorBase + `, "trace": {"phases": []}}`,
+	`{` + traceErrorBase + `, "trace": {"phases": [{"duration_ms": 1}]}}`,                             // neither scale nor channels
+	`{` + traceErrorBase + `, "trace": {"phases": [{"duration_ms": 1, "scale": -1}]}}`,                // negative scale
+	`{` + traceErrorBase + `, "trace": {"phases": [{"duration_ms": 0, "scale": 1}]}}`,                 // zero duration
+	`{` + traceErrorBase + `, "trace": {"phases": [{"duration_ms": 1, "scale": 1, "channels": []}]}}`, // scale and channels both set
+	`{` + traceErrorBase + `, "trace": {"phases": [{"duration_ms": 1, "channels": [{"top_wcm2": [1], "bottom_wcm2": [1]}, {"top_wcm2": [1], "bottom_wcm2": [1]}]}]}}`, // channel count mismatch
+}
+
 func TestBuildTraceErrors(t *testing.T) {
-	base := `"channels": [{"top_wcm2": [50], "bottom_wcm2": [50]}]`
-	cases := []string{
-		`{` + base + `}`, // no trace at all
-		`{` + base + `, "trace": {"phases": []}}`,
-		`{` + base + `, "trace": {"phases": [{"duration_ms": 1}]}}`,                                                                                             // neither scale nor channels
-		`{` + base + `, "trace": {"phases": [{"duration_ms": 1, "scale": -1}]}}`,                                                                                // negative scale
-		`{` + base + `, "trace": {"phases": [{"duration_ms": 0, "scale": 1}]}}`,                                                                                 // zero duration
-		`{` + base + `, "trace": {"phases": [{"duration_ms": 1, "scale": 1, "channels": []}]}}`,                                                                 // scale and channels both set
-		`{` + base + `, "trace": {"phases": [{"duration_ms": 1, "channels": [{"top_wcm2": [1], "bottom_wcm2": [1]}, {"top_wcm2": [1], "bottom_wcm2": [1]}]}]}}`, // channel count mismatch
-	}
-	for i, src := range cases {
+	base := traceErrorBase
+	for i, src := range buildTraceErrorCases {
 		spec, f, err := Load(strings.NewReader(src))
 		if err != nil {
 			t.Fatalf("case %d: unexpected load error %v", i, err)
