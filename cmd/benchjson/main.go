@@ -119,7 +119,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ev := compact.NewEvaluator(p, 0)
+	ev := compact.NewEvaluator(p)
 
 	// The kernel groups (solve, gradient) are sub-millisecond: time them
 	// warm with enough repetitions that best-of-N means something. The

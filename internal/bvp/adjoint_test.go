@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/ode"
 )
 
 // toyProblem builds a small stiff-ish linear BVP whose coefficients depend
 // on a scalar parameter θ: x' = [[0,1],[−θ,−0.3]]·x + [0.5, θ/2], with the
 // second initial component unknown and x_1(L) = 0 terminal.
 func toyProblem(theta float64) *Problem {
-	sys := &ode.LinearSystem{
-		Dim: 2,
-		Coeffs: func(a *mat.Dense, b mat.Vec, z float64) {
+	sys := &linearODE{
+		dim: 2,
+		coeffs: func(a *mat.Dense, b mat.Vec, z float64) {
 			a.Set(0, 0, 0)
 			a.Set(0, 1, 1)
 			a.Set(1, 0, -theta)
@@ -23,15 +22,11 @@ func toyProblem(theta float64) *Problem {
 			b[1] = theta / 2
 		},
 	}
-	return &Problem{
-		Dim:          2,
-		Length:       1,
-		Propagate:    LinearPropagator(sys, 1, 400),
-		X0Base:       mat.Vec{0.7, 0},
-		X0Modes:      []mat.Vec{{0, 1}},
-		TerminalZero: []int{1},
-		Intervals:    4,
-	}
+	p := rk4Problem(sys, 1, 400, 4)
+	p.X0Base = mat.Vec{0.7, 0}
+	p.X0Modes = []mat.Vec{{0, 1}}
+	p.TerminalZero = []int{1}
+	return p
 }
 
 // toyObjective is a fixed linear functional of the interface states,
@@ -55,36 +50,20 @@ func toyJ(ws *Workspace, gx []mat.Vec) float64 {
 	return j
 }
 
-// toyTransitions propagates the per-interval maps for a given θ the same
-// way the solver's fallback path does, for finite-differencing dΦ/dθ.
-func toyTransitions(t *testing.T, theta float64, zs []float64) ([]*mat.Dense, []mat.Vec) {
+// toyTransitions returns the per-interval maps of the problem at θ, for
+// finite-differencing dΦ/dθ.
+func toyTransitions(t *testing.T, theta float64) ([]*mat.Dense, []mat.Vec) {
 	t.Helper()
 	p := toyProblem(theta)
-	m := len(zs) - 1
+	m := len(p.Interfaces) - 1
 	phis := make([]*mat.Dense, m)
 	psis := make([]mat.Vec, m)
-	basis := make(mat.Vec, p.Dim)
 	for i := 0; i < m; i++ {
-		basis.Fill(0)
-		sol, err := p.Propagate(zs[i], zs[i+1], basis, false)
+		phi, psi, err := p.Transition(p.Interfaces[i], p.Interfaces[i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		psis[i] = sol.Final().Clone()
-		phi := mat.NewDense(p.Dim, p.Dim)
-		for j := 0; j < p.Dim; j++ {
-			basis.Fill(0)
-			basis[j] = 1
-			hs, err := p.Propagate(zs[i], zs[i+1], basis, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fin := hs.Final()
-			for r := 0; r < p.Dim; r++ {
-				phi.Set(r, j, fin[r])
-			}
-		}
-		phis[i] = phi
+		phis[i], psis[i] = phi, psi
 	}
 	return phis, psis
 }
@@ -107,12 +86,8 @@ func TestAdjointGradientMatchesFD(t *testing.T) {
 	}
 
 	const h = 1e-5
-	zs := make([]float64, m+1)
-	for i := range zs {
-		zs[i] = float64(i) * p.Length / float64(m)
-	}
-	phiP, psiP := toyTransitions(t, theta+h, zs)
-	phiM, psiM := toyTransitions(t, theta-h, zs)
+	phiP, psiP := toyTransitions(t, theta+h)
+	phiM, psiM := toyTransitions(t, theta-h)
 	dPhi := make([]*mat.Dense, m)
 	dPsi := make([]mat.Vec, m)
 	for i := 0; i < m; i++ {

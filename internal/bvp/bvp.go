@@ -12,11 +12,13 @@
 // λ = sqrt(ĝl/ĝv) ≈ 0.2–0.6 mm while the channel is 10 mm long, so simple
 // shooting amplifies initial perturbations by up to e^(d/λ) ≈ e^50 and the
 // terminal-condition matrix is numerically singular. The solver therefore
-// uses MULTIPLE SHOOTING: the domain is split into m intervals, the full
-// state at each interior interface joins the unknowns, and continuity plus
-// boundary conditions form one linear system. Because the ODE is linear,
-// each interval's transition map is computed exactly (up to RK4 error) by
-// propagating a basis, and no Newton iteration is needed.
+// uses MULTIPLE SHOOTING: the domain is split into m intervals at the
+// caller's interface grid, the full state at each interior interface joins
+// the unknowns, and continuity plus boundary conditions form one linear
+// system. Because the ODE is linear, each interval is an affine map
+// x(z_{i+1}) = Φ_i·x(z_i) + ψ_i, which the caller supplies (the compact
+// model computes it exactly from a matrix exponential), and no Newton
+// iteration is needed.
 //
 // The system is a staircase: each continuity row touches only the states
 // at the two ends of its interval (the first interval also the inlet
@@ -27,10 +29,10 @@
 // equal a dense mat.LU solve's under == at a cost linear in the number of
 // intervals.
 //
-// Integration is delegated to a caller-supplied Propagate function so that
+// The dense trajectory is reconstructed from the solved interface states
+// by a caller-supplied Propagate function, one interval at a time, so that
 // models with piecewise-constant coefficients (modulated channel widths,
-// segmented heat fluxes) can integrate each smooth piece separately and
-// stay at full RK4 accuracy across the discontinuities.
+// segmented heat fluxes) sample each smooth piece separately.
 package bvp
 
 import (
@@ -38,27 +40,24 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
-	"repro/internal/ode"
 )
 
 // ErrUnsolvable reports a multiple-shooting system whose matrix is singular
 // (physically: the boundary conditions do not determine the state).
 var ErrUnsolvable = errors.New("bvp: shooting system is singular")
 
-// PropagateFunc integrates the model ODE over [a, b] ⊆ [0, Length] from the
-// initial state x0 and returns the dense trajectory. When homogeneous is
-// true the forcing term b(z) must be dropped (only A(z)·x integrated).
-// Calls with identical (a, b) must return trajectories on identical grids.
-// The solver copies what it needs from the returned trajectory before the
-// next Propagate call, so implementations may reuse internal storage.
-type PropagateFunc func(a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error)
+// PropagateFunc integrates the model ODE over one shooting interval [a, b]
+// from the initial state x0 and returns the dense trajectory, whose first
+// point is (a, x0) and last point lies at b. The solver copies what it
+// needs from the returned trajectory before the next Propagate call, so
+// implementations may reuse internal storage.
+type PropagateFunc func(a, b float64, x0 mat.Vec) (*Trajectory, error)
 
-// TransitionFunc supplies the exact transition map of one shooting
-// interval [a, b]: x(b) = phi·x(a) + psi. The returned matrix and vector
-// are borrowed — the solver reads them without modifying and does not
-// retain them past the solve — so implementations may serve them from a
-// cache. The floats must equal what propagating the basis with the
-// problem's PropagateFunc would produce, or determinism guarantees built
+// TransitionFunc supplies the transition map of one shooting interval
+// [a, b]: x(b) = phi·x(a) + psi. The returned matrix and vector are
+// borrowed — the solver reads them without modifying and does not retain
+// them past the solve — so implementations may serve them from a cache.
+// The map must be deterministic in (a, b), or determinism guarantees built
 // on top of the solver break.
 type TransitionFunc func(a, b float64) (phi *mat.Dense, psi mat.Vec, err error)
 
@@ -73,7 +72,8 @@ type Problem struct {
 	Dim int
 	// Length is the domain size; the domain is [0, Length].
 	Length float64
-	// Propagate integrates the system (see PropagateFunc).
+	// Propagate reconstructs the dense trajectory of one interval (see
+	// PropagateFunc).
 	Propagate PropagateFunc
 	// X0Base is the known part of the initial state.
 	X0Base mat.Vec
@@ -81,44 +81,36 @@ type Problem struct {
 	X0Modes []mat.Vec
 	// TerminalZero lists state indices that must vanish at z = Length.
 	TerminalZero []int
-	// Intervals is the number of multiple-shooting intervals. Zero selects
-	// 16; 1 degenerates to classic single shooting (only safe for
-	// non-stiff systems). Ignored when Interfaces is set.
-	Intervals int
-	// Interfaces optionally fixes the interface grid explicitly: an
-	// ascending sequence starting at 0 and ending at Length, one shooting
-	// interval per consecutive pair. Callers with piecewise-constant
-	// coefficients align interfaces with the smooth pieces so that every
-	// interval's transition map depends only on that piece's coefficients
-	// (the memoization unit of compact.Evaluator). The slice is borrowed,
-	// not copied.
+	// Interfaces is the interface grid: an ascending sequence starting at 0
+	// and ending at Length, one shooting interval per consecutive pair; a
+	// single interval is classic single shooting (only safe for non-stiff
+	// systems). Callers with piecewise-constant coefficients align
+	// interfaces with the smooth pieces so that every interval's
+	// transition map depends only on that piece's coefficients (the
+	// memoization unit of compact.Evaluator). The slice is borrowed, not
+	// copied.
 	Interfaces []float64
-	// Transition optionally supplies interval transition maps directly
-	// (typically from a cache). Nil falls back to propagating a basis with
-	// Propagate, as classic multiple shooting does. Propagate is still
-	// required for the trajectory reconstruction.
+	// Transition supplies the interval transition maps (see
+	// TransitionFunc).
 	Transition TransitionFunc
 }
 
 // Workspace carries the reusable scratch of a shooting solve: the
-// staircase system factored in place, interface grids and the
-// reconstructed trajectory. A zero value is ready to use. Reusing one
-// workspace across repeated same-shaped solves eliminates nearly all
-// solver allocations.
+// staircase system factored in place and the reconstructed trajectory. A
+// zero value is ready to use. Reusing one workspace across repeated
+// same-shaped solves eliminates nearly all solver allocations.
 // A workspace must not be shared between concurrent solves, and the
 // Trajectory of a returned Solution points into the workspace — it is
 // invalidated by the next SolveWS call with the same workspace.
 type Workspace struct {
-	phis   []*mat.Dense // per-interval transition matrices (borrowed or owned)
-	psis   []mat.Vec    // per-interval particular terms (borrowed or owned)
-	zs     []float64    // uniform interface grid (when Interfaces unset)
+	phis   []*mat.Dense // per-interval transition matrices (borrowed)
+	psis   []mat.Vec    // per-interval particular terms (borrowed)
 	sys    staircase    // multiple-shooting system, factored in place
 	rhs    mat.Vec
 	u      mat.Vec // solved unknowns
-	basis  mat.Vec
 	m0base mat.Vec
-	x0     mat.Vec      // reconstructed initial state
-	traj   ode.Solution // stitched reconstruction trajectory
+	x0     mat.Vec    // reconstructed initial state
+	traj   Trajectory // stitched reconstruction trajectory
 
 	// Snapshot of the last successful SolveWS, consumed by the adjoint
 	// methods (see adjoint.go). modes and termIdx are borrowed from the
@@ -144,36 +136,10 @@ type Solution struct {
 	// Params are the resolved inlet parameters p.
 	Params mat.Vec
 	// Trajectory is the dense resolved state trajectory over [0, Length].
-	Trajectory *ode.Solution
+	Trajectory *Trajectory
 	// TerminalResidual is the max |x(Length)[j]| over the terminal
 	// conditions, a direct quality measure of the solve.
 	TerminalResidual float64
-}
-
-// LinearPropagator adapts an ode.LinearSystem to a PropagateFunc, using a
-// step density of steps RK4 steps per unit of the given total length
-// (0 selects 200 steps over the full length).
-func LinearPropagator(sys *ode.LinearSystem, length float64, steps int) PropagateFunc {
-	if steps <= 0 {
-		steps = 200
-	}
-	hom := &ode.LinearSystem{
-		Dim: sys.Dim,
-		Coeffs: func(a *mat.Dense, b mat.Vec, z float64) {
-			sys.Coeffs(a, b, z)
-			b.Fill(0)
-		},
-	}
-	return func(a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
-		n := int(float64(steps)*(b-a)/length + 0.999)
-		if n < 2 {
-			n = 2
-		}
-		if homogeneous {
-			return hom.Propagate(a, b, x0, n)
-		}
-		return sys.Propagate(a, b, x0, n)
-	}
 }
 
 // Solve resolves the BVP by multiple shooting.
@@ -196,66 +162,22 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 	dim := p.Dim
 	nU := len(p.X0Modes)
 
-	// Interface positions 0 = z_0 < z_1 < ... < z_m = Length.
-	var zs []float64
-	if p.Interfaces != nil {
-		zs = p.Interfaces
-	} else {
-		m := p.Intervals
-		if m == 0 {
-			m = 16
-		}
-		if cap(ws.zs) < m+1 {
-			ws.zs = make([]float64, m+1)
-		}
-		zs = ws.zs[:m+1]
-		for i := range zs {
-			zs[i] = float64(i) * p.Length / float64(m)
-		}
-		zs[m] = p.Length
-	}
+	// Interface positions 0 = z_0 < z_1 < ... < z_m = Length, and per
+	// interval i the borrowed transition x(z_{i+1}) = M_i·x(z_i) + c_i.
+	zs := p.Interfaces
 	m := len(zs) - 1
-
-	// Per interval i: transition x(z_{i+1}) = M_i·x(z_i) + c_i, either
-	// supplied by the Transition hook (borrowed, typically memoized) or
-	// computed by propagating a basis.
 	if cap(ws.phis) < m {
 		ws.phis = make([]*mat.Dense, m)
 		ws.psis = make([]mat.Vec, m)
 	}
 	trans := ws.phis[:m]
 	parts := ws.psis[:m]
-	ws.basis = growVec(ws.basis, dim)
-	basis := ws.basis
 	for i := 0; i < m; i++ {
-		if p.Transition != nil {
-			phi, psi, err := p.Transition(zs[i], zs[i+1])
-			if err != nil {
-				return nil, fmt.Errorf("bvp: transition, interval %d: %w", i, err)
-			}
-			trans[i], parts[i] = phi, psi
-			continue
-		}
-		basis.Fill(0)
-		sol, err := p.Propagate(zs[i], zs[i+1], basis, false)
+		phi, psi, err := p.Transition(zs[i], zs[i+1])
 		if err != nil {
-			return nil, fmt.Errorf("bvp: particular, interval %d: %w", i, err)
+			return nil, fmt.Errorf("bvp: transition, interval %d: %w", i, err)
 		}
-		parts[i] = sol.Final().Clone()
-		mi := mat.NewDense(dim, dim)
-		for j := 0; j < dim; j++ {
-			basis.Fill(0)
-			basis[j] = 1
-			hs, err := p.Propagate(zs[i], zs[i+1], basis, true)
-			if err != nil {
-				return nil, fmt.Errorf("bvp: homogeneous basis %d, interval %d: %w", j, i, err)
-			}
-			fin := hs.Final()
-			for r := 0; r < dim; r++ {
-				mi.Set(r, j, fin[r])
-			}
-		}
-		trans[i] = mi
+		trans[i], parts[i] = phi, psi
 	}
 
 	// Unknowns u = [p (nU); x_1 ... x_{m-1} (dim each)]. Each row is
@@ -360,7 +282,7 @@ func SolveWS(p *Problem, ws *Workspace) (*Solution, error) {
 			// and exactly what the linear system enforced).
 			x = u[xOff(i) : xOff(i)+dim]
 		}
-		sol, err := p.Propagate(zs[i], zs[i+1], x, false)
+		sol, err := p.Propagate(zs[i], zs[i+1], x)
 		if err != nil {
 			return nil, fmt.Errorf("bvp: reconstruction, interval %d: %w", i, err)
 		}
@@ -389,28 +311,26 @@ func validate(p *Problem) error {
 	if p.Propagate == nil {
 		return fmt.Errorf("bvp: nil propagator")
 	}
+	if p.Transition == nil {
+		return fmt.Errorf("bvp: nil transition")
+	}
 	if p.Dim <= 0 {
 		return fmt.Errorf("bvp: non-positive dimension %d", p.Dim)
 	}
 	if !(p.Length > 0) {
 		return fmt.Errorf("bvp: non-positive length %g", p.Length)
 	}
-	if p.Intervals < 0 {
-		return fmt.Errorf("bvp: negative interval count %d", p.Intervals)
+	zs := p.Interfaces
+	if len(zs) < 2 {
+		return fmt.Errorf("bvp: interface grid needs >= 2 points, got %d", len(zs))
 	}
-	if p.Interfaces != nil {
-		zs := p.Interfaces
-		if len(zs) < 2 {
-			return fmt.Errorf("bvp: interface grid needs >= 2 points, got %d", len(zs))
-		}
-		if zs[0] != 0 || zs[len(zs)-1] != p.Length {
-			return fmt.Errorf("bvp: interface grid must span [0, %g], got [%g, %g]",
-				p.Length, zs[0], zs[len(zs)-1])
-		}
-		for i := 1; i < len(zs); i++ {
-			if !(zs[i] > zs[i-1]) {
-				return fmt.Errorf("bvp: interface grid not strictly increasing at %d", i)
-			}
+	if zs[0] != 0 || zs[len(zs)-1] != p.Length {
+		return fmt.Errorf("bvp: interface grid must span [0, %g], got [%g, %g]",
+			p.Length, zs[0], zs[len(zs)-1])
+	}
+	for i := 1; i < len(zs); i++ {
+		if !(zs[i] > zs[i-1]) {
+			return fmt.Errorf("bvp: interface grid not strictly increasing at %d", i)
 		}
 	}
 	if len(p.X0Base) != p.Dim {

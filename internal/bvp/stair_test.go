@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/ode"
 )
 
 // shootingCase is a multiple-shooting problem over fixed transition maps,
@@ -22,8 +21,8 @@ type shootingCase struct {
 // randomShootingCase draws a problem with m intervals of state dimension
 // dim and nU unknowns. Each transition row (and its particular term) is
 // scaled by 10^U(−6, 6), so partial pivoting moves rows far from their
-// first column. With uniform set the problem uses the Intervals grid,
-// otherwise a random explicit Interfaces grid.
+// first column. With uniform set the interface grid is uniform, otherwise
+// random.
 func randomShootingCase(rng *rand.Rand, dim, m, nU int, uniform bool) *shootingCase {
 	const length = 1.0
 	zs := make([]float64, m+1)
@@ -57,32 +56,26 @@ func randomShootingCase(rng *rand.Rand, dim, m, nU int, uniform bool) *shootingC
 	for i, z := range zs[:m] {
 		index[z] = i
 	}
-	seg := &ode.Solution{Z: make(mat.Vec, 2), X: []mat.Vec{make(mat.Vec, dim), make(mat.Vec, dim)}}
+	seg := &Trajectory{Z: make(mat.Vec, 2), X: []mat.Vec{make(mat.Vec, dim), make(mat.Vec, dim)}}
 	p := &Problem{
 		Dim:    dim,
 		Length: length,
-		Propagate: func(a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
+		Propagate: func(a, b float64, x0 mat.Vec) (*Trajectory, error) {
 			i := index[a]
 			seg.Z[0], seg.Z[1] = a, b
 			copy(seg.X[0], x0)
 			sc.phis[i].MulVec(seg.X[1], x0)
-			if !homogeneous {
-				seg.X[1].AddScaled(1, sc.psis[i])
-			}
+			seg.X[1].AddScaled(1, sc.psis[i])
 			return seg, nil
 		},
 		Transition: func(a, b float64) (*mat.Dense, mat.Vec, error) {
 			i := index[a]
 			return sc.phis[i], sc.psis[i], nil
 		},
+		Interfaces:   zs,
 		X0Base:       make(mat.Vec, dim),
 		X0Modes:      make([]mat.Vec, nU),
 		TerminalZero: rng.Perm(dim)[:nU],
-	}
-	if uniform {
-		p.Intervals = m
-	} else {
-		p.Interfaces = zs
 	}
 	for c := range p.X0Base {
 		p.X0Base[c] = rng.NormFloat64()

@@ -3,6 +3,7 @@ package compact
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/convection"
@@ -171,9 +172,12 @@ func TestFluxBasics(t *testing.T) {
 	if len(f.Boundaries()) != 3 {
 		t.Error("boundaries")
 	}
-	g := f.Scale(2)
-	if g.Total() != 4 {
-		t.Error("Scale")
+	g, err := f.Scale(2)
+	if err != nil || g.Total() != 4 {
+		t.Errorf("Scale: %v", err)
+	}
+	if _, err := f.Scale(1e308); err == nil || !strings.Contains(err.Error(), "Flux.Scale") {
+		t.Errorf("overflowing Scale: got %v, want an error", err)
 	}
 	if vals := f.Values(); vals[0] != 100 {
 		t.Error("Values")
@@ -393,7 +397,7 @@ func TestEliminatedMatchesFullModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &Model{Params: p, Channels: []Channel{{Width: w, FluxTop: ft, FluxBottom: fb}}, Steps: 600}
+		m := &Model{Params: p, Channels: []Channel{{Width: w, FluxTop: ft, FluxBottom: fb}}}
 
 		full, err := m.Solve()
 		if err != nil {
@@ -610,7 +614,10 @@ func TestRandomModelsPhysicalInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb := ft.Scale(0.5 + rng.Float64())
+			fb, err := ft.Scale(0.5 + rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
 			chans[k] = Channel{Width: w, FluxTop: ft, FluxBottom: fb}
 			injected += ft.Total() + fb.Total()
 		}

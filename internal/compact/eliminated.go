@@ -32,5 +32,5 @@ func (m *Model) SolveEliminated() (*Result, error) {
 		return nil, fmt.Errorf("compact: eliminated form requires exactly 1 channel, have %d",
 			len(m.Channels))
 	}
-	return NewEvaluator(m.Params, m.Steps).SolveEliminated(m.Channels[0])
+	return NewEvaluator(m.Params).SolveEliminated(m.Channels[0])
 }

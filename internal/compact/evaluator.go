@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/bvp"
 	"repro/internal/mat"
-	"repro/internal/ode"
 )
 
 // Evaluator is a reusable solve session for compact thermal models sharing
-// one parameter set and step budget. It replaces the build-model-then-solve
-// pattern on hot paths (optimization loops perform hundreds of solves per
-// channel) with two ingredients:
+// one parameter set. It replaces the build-model-then-solve pattern on hot
+// paths (optimization loops perform hundreds of solves per channel) with
+// two ingredients:
 //
 //  1. Piecewise transition-map memoization. The model ODE is linear with
 //     piecewise-constant coefficients, so over one smooth piece [a, b] the
@@ -26,16 +25,16 @@ import (
 //     A finite-difference gradient perturbs one width segment at a time,
 //     so of the K+ pieces of a perturbed design all but the touched piece
 //     hit the cache: the K-segment gradient costs K×(≈1 recomputed piece +
-//     cheap reassembly) instead of K×(full basis propagation).
+//     cheap reassembly) instead of K×(full piece exponentials).
 //
 //  2. Reusable scratch arenas threaded down the stack: the bvp workspace
-//     (shooting system, LU, stitched trajectory), RK4 stage scratch, and
-//     per-interval trajectory storage are all owned by the evaluator and
-//     recycled across solves.
+//     (shooting system, staircase factorization, stitched trajectory), the
+//     exponential workspace and per-interval trajectory storage are all
+//     owned by the evaluator and recycled across solves.
 //
 // Determinism: a cached (Φ, ψ) is byte-for-byte the value a fresh
-// propagation produces, because the cache key captures every input of the
-// piece propagation and the propagation itself is deterministic. Model.Solve
+// computation produces, because the cache key captures every input of the
+// piece map and its computation (expmFinish) is deterministic. Model.Solve
 // and Model.SolveEliminated delegate to a fresh evaluator, so a warm
 // evaluator returns bit-identical Results to a fresh model solve — the
 // property the correctness tests assert.
@@ -45,8 +44,6 @@ import (
 // preserving the no-locking invariant of the batch engine.
 type Evaluator struct {
 	params Params
-	steps  int
-	prop   Propagation
 
 	cache map[string]*pieceEntry
 	dcach map[string]*derivEntry
@@ -74,37 +71,17 @@ type Evaluator struct {
 	dkey  []byte
 
 	ws     bvp.Workspace
-	sc     ode.RK4Scratch
-	seg    ode.Solution // per-interval reconstruction trajectory
+	seg    bvp.Trajectory // per-interval reconstruction trajectory
 	basis  mat.Vec
-	zero   mat.Vec
 	col    mat.Vec
-	zeroFx []float64 // all-zero flux view for homogeneous propagation
+	zeroFx []float64 // all-zero flux view for the generator's linear part
 	ifaces []float64
-	model  Model // scratch view binding Params/Steps to the current channels
+	model  Model // scratch view binding Params to the current channels
 
 	x0    mat.Vec
 	modes []mat.Vec
 	term  []int
 }
-
-// Propagation selects how piece transition maps and dense trajectories
-// are computed.
-type Propagation int
-
-const (
-	// PropExpm computes each smooth piece's affine map in closed form: the
-	// piece ODE x' = A·x + b0 + b1·(z−a) is embedded in the augmented
-	// generator Ã = [[A, b1, b0], [0, 0, 1], [0, 0, 0]] and e^{Ã·Δz} yields
-	// Φ (top-left block) and ψ (top of the last column — the φ₁/φ₂
-	// functions applied to b0 and b1 without forming them separately).
-	// Exact up to roundoff at any step budget, and the only mode that
-	// supports analytic adjoint gradients (SolveGradient).
-	PropExpm Propagation = iota
-	// PropRK4 propagates a basis with fixed-step RK4 — the historical
-	// mode, kept as a cross-validation ablation for the exact maps.
-	PropRK4
-)
 
 // EvalStats counts the work an evaluator has performed.
 type EvalStats struct {
@@ -114,8 +91,8 @@ type EvalStats struct {
 	// (each one forward solve plus one adjoint pass).
 	GradientSolves int
 	// TransitionHits and TransitionMisses count piece-transition cache
-	// lookups. A miss propagates a full basis; a hit reuses the memoized
-	// affine map.
+	// lookups. A miss computes the piece exponentials; a hit reuses the
+	// memoized affine map.
 	TransitionHits, TransitionMisses uint64
 	// DerivHits and DerivMisses count piece-derivative cache lookups of
 	// the adjoint gradient path. A miss computes a Fréchet derivative of
@@ -134,8 +111,8 @@ type EvalStats struct {
 const maxCacheEntries = 1 << 15
 
 // pieceEntry is the memoized propagation of one smooth piece: the affine
-// transition map plus the frozen coefficients needed to re-integrate the
-// piece densely during trajectory reconstruction.
+// transition map, the frozen coefficients it was built from, and the maps
+// that sample the piece densely during trajectory reconstruction.
 type pieceEntry struct {
 	phi *mat.Dense
 	psi mat.Vec
@@ -147,47 +124,34 @@ type pieceEntry struct {
 	c4           Coefficients
 	f1, f2, qinA float64
 
-	// Expm-mode data: the augmented piece generator Ã and the augmented
-	// sub-step map e^{Ã·h} driving dense reconstruction and the adjoint's
-	// backward recurrence. steps is the piece's dense sample count.
+	// The augmented piece generator Ã and the augmented sub-step map
+	// e^{Ã·h} driving dense reconstruction and the adjoint's backward
+	// recurrence. steps is the piece's dense sample count.
 	atilde  *mat.Dense
 	phiStep *mat.Dense
 	steps   int
 }
 
-// NewEvaluator returns an empty evaluation session for the given parameter
-// set and dense step budget (0 selects the model default of 400), using
-// exact matrix-exponential piece propagation.
-func NewEvaluator(params Params, steps int) *Evaluator {
-	return NewEvaluatorWith(params, steps, PropExpm)
-}
+// denseSamples is the number of dense trajectory samples over the channel
+// length, distributed across the smooth pieces. It sets only the sampling
+// of the reported profiles and of the trapezoid objective: the piece maps
+// are exact at any sample count.
+const denseSamples = 400
 
-// NewEvaluatorWith is NewEvaluator with an explicit propagation mode.
-func NewEvaluatorWith(params Params, steps int, prop Propagation) *Evaluator {
+// NewEvaluator returns an empty evaluation session for the given parameter
+// set.
+func NewEvaluator(params Params) *Evaluator {
 	return &Evaluator{
 		params: params,
-		steps:  steps,
-		prop:   prop,
 		cache:  make(map[string]*pieceEntry),
 	}
 }
-
-// Propagation returns the evaluator's piece-propagation mode.
-func (e *Evaluator) Propagation() Propagation { return e.prop }
 
 // Params returns the parameter set the evaluator was built for.
 func (e *Evaluator) Params() Params { return e.params }
 
 // Stats returns the accumulated work counters.
 func (e *Evaluator) Stats() EvalStats { return e.stats }
-
-// effSteps resolves the RK4 step budget.
-func (e *Evaluator) effSteps() int {
-	if e.steps <= 0 {
-		return 400
-	}
-	return e.steps
-}
 
 // SolveChannels picks the cheaper published 4-state form for single-column
 // models and the coupled 5-state form otherwise — the policy of every
@@ -205,7 +169,7 @@ func (e *Evaluator) SolveChannels(channels []Channel) (*Result, error) {
 // model, regardless of what the evaluator solved before.
 func (e *Evaluator) Solve(channels []Channel) (*Result, error) {
 	m := &e.model
-	m.Params, m.Channels, m.Steps = e.params, channels, e.steps
+	m.Params, m.Channels = e.params, channels
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -242,8 +206,12 @@ func (e *Evaluator) Solve(channels []Channel) (*Result, error) {
 	sol, err := bvp.SolveWS(&bvp.Problem{
 		Dim:    dim,
 		Length: e.params.Length,
-		Propagate: func(a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
-			return e.propagate5(channels, a, b, x0, homogeneous)
+		Propagate: func(a, b float64, x0 mat.Vec) (*bvp.Trajectory, error) {
+			ent, err := e.entry5(channels, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return e.propagateExpm(ent, a, b, x0, statePerChannel*len(channels))
 		},
 		Transition: func(a, b float64) (*mat.Dense, mat.Vec, error) {
 			ent, err := e.entry5(channels, a, b)
@@ -326,10 +294,11 @@ func (e *Evaluator) store(ent *pieceEntry) {
 	e.cache[string(e.key)] = ent
 }
 
-// pieceSteps5 is the RK4 step count of one piece in the 5-state form
-// (Model.propagate's historical rounding).
+// pieceSteps5 is the dense sample count of one piece in the 5-state form.
+// It rounds up, where pieceSteps4 rounds up only past 0.001 of a sample:
+// the two forms' sample grids, and so their results, depend on it.
 func (e *Evaluator) pieceSteps5(a, b float64) int {
-	n := int(math.Ceil(float64(e.effSteps()) * (b - a) / e.params.Length))
+	n := int(math.Ceil(float64(denseSamples) * (b - a) / e.params.Length))
 	if n < 4 {
 		n = 4
 	}
@@ -373,86 +342,21 @@ func (e *Evaluator) entry5(channels []Channel, a, b float64) (*pieceEntry, error
 		ent.pc.fluxTop[k] = ch.FluxTop.At(mid)
 		ent.pc.fluxBottom[k] = ch.FluxBottom.At(mid)
 	}
-	if cap(e.zeroFx) < n {
-		e.zeroFx = make([]float64, n)
-	}
-	pcHom := pieceCoeffs{c: ent.pc.c, fluxTop: e.zeroFx[:n], fluxBottom: e.zeroFx[:n]}
-
-	steps := e.pieceSteps5(a, b)
-	if e.prop == PropExpm {
-		e.buildAug5(ent, n)
-		if err := e.expmFinish(ent, a, b, dim, steps); err != nil {
-			return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-		}
-		e.store(ent)
-		return ent, nil
-	}
-	forced := func(dst mat.Vec, _ float64, s mat.Vec) {
-		e.model.derivative(dst, s, &ent.pc)
-	}
-	hom := func(dst mat.Vec, _ float64, s mat.Vec) {
-		e.model.derivative(dst, s, &pcHom)
-	}
-
-	e.zero = growVec(e.zero, dim)
-	e.zero.Fill(0)
-	ent.psi = make(mat.Vec, dim)
-	if err := ode.RK4Final(forced, a, b, e.zero, steps, ent.psi, &e.sc); err != nil {
+	e.buildAug5(ent, n)
+	if err := e.expmFinish(ent, a, b, dim, e.pieceSteps5(a, b)); err != nil {
 		return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-	}
-	ent.phi = mat.NewDense(dim, dim)
-	e.basis = growVec(e.basis, dim)
-	e.col = growVec(e.col, dim)
-	for j := 0; j < dim; j++ {
-		e.basis.Fill(0)
-		e.basis[j] = 1
-		if err := ode.RK4Final(hom, a, b, e.basis, steps, e.col, &e.sc); err != nil {
-			return nil, fmt.Errorf("compact: piece [%g, %g] basis %d: %w", a, b, j, err)
-		}
-		for r := 0; r < dim; r++ {
-			ent.phi.Set(r, j, e.col[r])
-		}
 	}
 	e.store(ent)
 	return ent, nil
 }
 
-// propagate5 densely integrates one shooting interval of the 5-state model
-// for trajectory reconstruction. Intervals are piece-aligned, so the frozen
-// coefficients come straight from the piece cache. The returned trajectory
-// is evaluator-owned and valid until the next propagation.
-func (e *Evaluator) propagate5(channels []Channel, a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
-	ent, err := e.entry5(channels, a, b)
-	if err != nil {
-		return nil, err
-	}
-	if e.prop == PropExpm {
-		return e.propagateExpm(ent, a, b, x0, homogeneous, statePerChannel*len(channels))
-	}
-	pc := ent.pc
-	if homogeneous {
-		n := len(channels)
-		if cap(e.zeroFx) < n {
-			e.zeroFx = make([]float64, n)
-		}
-		pc = pieceCoeffs{c: ent.pc.c, fluxTop: e.zeroFx[:n], fluxBottom: e.zeroFx[:n]}
-	}
-	f := func(dst mat.Vec, _ float64, s mat.Vec) {
-		e.model.derivative(dst, s, &pc)
-	}
-	if err := ode.RK4Into(f, a, b, x0, e.pieceSteps5(a, b), &e.seg, &e.sc); err != nil {
-		return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-	}
-	return &e.seg, nil
-}
-
 // elimDim is the state dimension of the paper's published 4-state form.
 const elimDim = 4
 
-// pieceSteps4 is the RK4 step count of one piece in the eliminated form
-// (SolveEliminated's historical rounding).
+// pieceSteps4 is the dense sample count of one piece in the eliminated
+// form (see pieceSteps5 for its rounding).
 func (e *Evaluator) pieceSteps4(a, b float64) int {
-	n := int(float64(e.effSteps())*(b-a)/e.params.Length + 0.999)
+	n := int(float64(denseSamples)*(b-a)/e.params.Length + 0.999)
 	if n < 4 {
 		n = 4
 	}
@@ -463,7 +367,7 @@ func (e *Evaluator) pieceSteps4(a, b float64) int {
 // Within the piece the cumulative injected heat Qin(z) is affine in z, so
 // the piece is fully described by (coefficients, flux densities, Qin at the
 // piece start) — exactly the fields memoized in pieceEntry.
-func rhs4(ent *pieceEntry, a, tcin float64, homogeneous bool) ode.Func {
+func rhs4(ent *pieceEntry, a, tcin float64, homogeneous bool) func(dst mat.Vec, z float64, s mat.Vec) {
 	c := ent.c4
 	f1, f2 := ent.f1, ent.f2
 	fSum := f1 + f2
@@ -520,58 +424,12 @@ func (e *Evaluator) entry4(ch Channel, a, b float64) (*pieceEntry, error) {
 		qinA: qinA,
 	}
 
-	steps := e.pieceSteps4(a, b)
-	if e.prop == PropExpm {
-		e.buildAug4(ent, a)
-		if err := e.expmFinish(ent, a, b, elimDim, steps); err != nil {
-			return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-		}
-		e.store(ent)
-		return ent, nil
-	}
-	tcin := e.params.InletTemp
-	e.zero = growVec(e.zero, elimDim)
-	e.zero.Fill(0)
-	ent.psi = make(mat.Vec, elimDim)
-	if err := ode.RK4Final(rhs4(ent, a, tcin, false), a, b, e.zero, steps, ent.psi, &e.sc); err != nil {
+	e.buildAug4(ent, a)
+	if err := e.expmFinish(ent, a, b, elimDim, e.pieceSteps4(a, b)); err != nil {
 		return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-	}
-	ent.phi = mat.NewDense(elimDim, elimDim)
-	hom := rhs4(ent, a, tcin, true)
-	e.basis = growVec(e.basis, elimDim)
-	e.col = growVec(e.col, elimDim)
-	for j := 0; j < elimDim; j++ {
-		e.basis.Fill(0)
-		e.basis[j] = 1
-		if err := ode.RK4Final(hom, a, b, e.basis, steps, e.col, &e.sc); err != nil {
-			return nil, fmt.Errorf("compact: piece [%g, %g] basis %d: %w", a, b, j, err)
-		}
-		for r := 0; r < elimDim; r++ {
-			ent.phi.Set(r, j, e.col[r])
-		}
 	}
 	e.store(ent)
 	return ent, nil
-}
-
-// propagate4 densely integrates one piece-aligned shooting interval of the
-// eliminated form for trajectory reconstruction.
-func (e *Evaluator) propagate4(ch Channel, a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
-	if len(x0) != elimDim {
-		return nil, fmt.Errorf("compact: eliminated state length %d, want %d", len(x0), elimDim)
-	}
-	ent, err := e.entry4(ch, a, b)
-	if err != nil {
-		return nil, err
-	}
-	if e.prop == PropExpm {
-		return e.propagateExpm(ent, a, b, x0, homogeneous, elimDim)
-	}
-	f := rhs4(ent, a, e.params.InletTemp, homogeneous)
-	if err := ode.RK4Into(f, a, b, x0, e.pieceSteps4(a, b), &e.seg, &e.sc); err != nil {
-		return nil, fmt.Errorf("compact: piece [%g, %g]: %w", a, b, err)
-	}
-	return &e.seg, nil
 }
 
 // SolveEliminated resolves a single-channel model via the paper's published
@@ -580,7 +438,7 @@ func (e *Evaluator) propagate4(ch Channel, a, b float64, x0 mat.Vec, homogeneous
 // bit-identical to Model.SolveEliminated on an equivalent model.
 func (e *Evaluator) SolveEliminated(ch Channel) (*Result, error) {
 	m := &e.model
-	m.Params, m.Channels, m.Steps = e.params, []Channel{ch}, e.steps
+	m.Params, m.Channels = e.params, []Channel{ch}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -591,8 +449,12 @@ func (e *Evaluator) SolveEliminated(ch Channel) (*Result, error) {
 	sol, err := bvp.SolveWS(&bvp.Problem{
 		Dim:    elimDim,
 		Length: e.params.Length,
-		Propagate: func(a, b float64, x0 mat.Vec, homogeneous bool) (*ode.Solution, error) {
-			return e.propagate4(ch, a, b, x0, homogeneous)
+		Propagate: func(a, b float64, x0 mat.Vec) (*bvp.Trajectory, error) {
+			ent, err := e.entry4(ch, a, b)
+			if err != nil {
+				return nil, err
+			}
+			return e.propagateExpm(ent, a, b, x0, elimDim)
 		},
 		Transition: func(a, b float64) (*mat.Dense, mat.Vec, error) {
 			ent, err := e.entry4(ch, a, b)
@@ -609,8 +471,12 @@ func (e *Evaluator) SolveEliminated(ch Channel) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compact: eliminated: %w", err)
 	}
+	return e.eliminatedResult(ch, sol)
+}
 
-	// Reconstruct TC from the elimination identity for reporting.
+// eliminatedResult unpacks an eliminated-form trajectory into a Result,
+// reconstructing TC from the elimination identity for reporting.
+func (e *Evaluator) eliminatedResult(ch Channel, sol *bvp.Solution) (*Result, error) {
 	traj := sol.Trajectory
 	nz := len(traj.Z)
 	cr := ChannelResult{

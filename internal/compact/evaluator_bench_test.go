@@ -60,7 +60,7 @@ func BenchmarkModelSolve(b *testing.B) {
 func BenchmarkEvaluatorSolve(b *testing.B) {
 	p := DefaultParams()
 	chans := benchChannels(b, p, 1, 20)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	if _, err := ev.Solve(chans); err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func BenchmarkModelSolveEliminated(b *testing.B) {
 func BenchmarkEvaluatorSolveEliminated(b *testing.B) {
 	p := DefaultParams()
 	ch := benchChannel(b, p, 20)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	if _, err := ev.SolveEliminated(ch); err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func BenchmarkModelSolveJoint3(b *testing.B) {
 func BenchmarkEvaluatorSolveJoint3(b *testing.B) {
 	p := DefaultParams()
 	chans := benchChannels(b, p, 3, 20)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	if _, err := ev.Solve(chans); err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkEvaluatorGradient(b *testing.B) {
 	p := DefaultParams()
 	const segs = 20
 	base := benchChannel(b, p, segs)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	gradientSweep(b, func(ch Channel) error {
 		_, err := ev.SolveEliminated(ch)
 		return err

@@ -91,7 +91,7 @@ func TestEvaluatorWarmBitIdenticalToFreshSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	for _, chs := range unrelated {
 		if _, err := ev.Solve(chs); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestEvaluatorWarmBitIdenticalEliminated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	for i := 0; i < 3; i++ {
 		if _, err := ev.SolveEliminated(testChannel(t, p, rng, 5, 3)); err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestEvaluatorGradientReusesPieces(t *testing.T) {
 	}
 	ch := Channel{Width: prof, FluxTop: ft, FluxBottom: ft}
 
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	if _, err := ev.SolveEliminated(ch); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEvaluatorFlushKeepsDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ch := testChannel(t, p, rng, 4, 3)
 
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	first, err := ev.SolveEliminated(ch)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestEvaluatorPerWorkerRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ev := NewEvaluator(p, 0) // per-goroutine session, no locking
+			ev := NewEvaluator(p) // per-goroutine session, no locking
 			for i := 0; i < designs; i++ {
 				idx := (i + w) % designs
 				got, err := ev.Solve(chans[idx])
@@ -267,7 +267,7 @@ func TestEvaluatorSolveChannelsPolicy(t *testing.T) {
 	single := []Channel{testChannel(t, p, rng, 3, 2)}
 	double := []Channel{testChannel(t, p, rng, 3, 2), testChannel(t, p, rng, 2, 2)}
 
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	got1, err := ev.SolveChannels(single)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestEvaluatorSolveChannelsPolicy(t *testing.T) {
 // Invalid models keep failing with the model's validation errors.
 func TestEvaluatorValidates(t *testing.T) {
 	p := DefaultParams()
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	if _, err := ev.Solve(nil); err == nil {
 		t.Fatal("empty channel list not rejected")
 	}

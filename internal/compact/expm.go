@@ -1,13 +1,14 @@
 package compact
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/bvp"
 	"repro/internal/mat"
-	"repro/internal/ode"
 )
 
-// Closed-form piece propagation (Propagation mode PropExpm).
+// Closed-form piece propagation: every piece map of the compact model.
 //
 // Over one smooth piece [a, b] the model ODE has constant coefficients and
 // a forcing that is at most affine in z (the eliminated form's cumulative
@@ -26,14 +27,14 @@ import (
 // (block triangularity) and the top of its last column is ψ — equal to
 // Δz·φ₁(AΔz)·b0 + Δz²·φ₂(AΔz)·b1 without ever forming the φ functions.
 // Dense reconstruction applies the sub-step map e^{Ã·h} as a recurrence on
-// the same grid RK4Into would use, and the adjoint gradient differentiates
-// the same exponentials (see gradient.go).
+// a uniform grid of the piece's dense samples (expmFinish, propagateExpm),
+// and the adjoint gradient differentiates the same exponentials (see
+// gradient.go).
 
 // buildAug4 writes the augmented generator of one eliminated-form piece
-// into e.aug. A and b0 are extracted by evaluating the exact same rhs4
-// closures the RK4 mode integrates (on basis vectors and the zero state),
-// so the two modes describe the identical piece ODE; only b1 — the z-slope
-// of the coolant feedback — needs a formula.
+// into e.aug. A and b0 are extracted by evaluating the rhs4 closures (on
+// basis vectors and the zero state), the transcription of the piece ODE;
+// only b1 — the z-slope of the coolant feedback — needs a formula.
 func (e *Evaluator) buildAug4(ent *pieceEntry, a float64) {
 	const dim = elimDim
 	adim := dim + 2
@@ -132,11 +133,16 @@ func scaleDense(dst, src *mat.Dense, s float64) {
 	}
 }
 
+// ErrNonFinite reports a NaN or infinity in the state during dense
+// reconstruction, which usually means the model is ill-posed for the
+// given inputs.
+var ErrNonFinite = errors.New("compact: non-finite state encountered")
+
 // propagateExpm densely reconstructs one piece-aligned shooting interval
-// by applying the memoized augmented sub-step map as a recurrence, on the
-// exact grid convention of RK4Into (uniform steps, endpoint pinned). The
-// homogeneous variant zeroes the augmented forcing states so only Φ acts.
-func (e *Evaluator) propagateExpm(ent *pieceEntry, a, b float64, x0 mat.Vec, homogeneous bool, dim int) (*ode.Solution, error) {
+// by applying the memoized augmented sub-step map as a recurrence over the
+// piece's dense samples (uniform steps, endpoint pinned). The returned
+// trajectory is evaluator-owned and valid until the next propagation.
+func (e *Evaluator) propagateExpm(ent *pieceEntry, a, b float64, x0 mat.Vec, dim int) (*bvp.Trajectory, error) {
 	if len(x0) != dim {
 		return nil, fmt.Errorf("compact: state length %d, want %d", len(x0), dim)
 	}
@@ -148,11 +154,7 @@ func (e *Evaluator) propagateExpm(ent *pieceEntry, a, b float64, x0 mat.Vec, hom
 	y, y2 := e.y, e.y2
 	copy(y[:dim], x0)
 	y[dim] = 0
-	if homogeneous {
-		y[dim+1] = 0
-	} else {
-		y[dim+1] = 1
-	}
+	y[dim+1] = 1
 	sol := &e.seg
 	sol.Reset()
 	sol.Append(a, y[:dim])
@@ -160,7 +162,7 @@ func (e *Evaluator) propagateExpm(ent *pieceEntry, a, b float64, x0 mat.Vec, hom
 		ent.phiStep.MulVec(y2, y)
 		y, y2 = y2, y
 		if !y[:dim].IsFinite() {
-			return nil, fmt.Errorf("compact: piece [%g, %g]: %w at step %d", a, b, ode.ErrNonFinite, i)
+			return nil, fmt.Errorf("compact: piece [%g, %g]: %w at step %d", a, b, ErrNonFinite, i)
 		}
 		sol.Append(a+float64(i+1)*h, y[:dim])
 	}

@@ -116,16 +116,17 @@ func (f *Flux) Boundaries() []float64 {
 	return b
 }
 
-// Scale returns a new flux profile with every value multiplied by s.
-func (f *Flux) Scale(s float64) *Flux {
+// Scale returns a new flux profile with every value multiplied by s. It
+// fails when a scaled value is not finite, which a finite s can cause by
+// overflow.
+func (f *Flux) Scale(s float64) (*Flux, error) {
 	vals := f.Values()
 	for i := range vals {
 		vals[i] *= s
 	}
 	out, err := NewFlux(vals, f.length)
 	if err != nil {
-		// Scaling a valid profile by a finite factor cannot fail.
-		panic(fmt.Sprintf("compact: Flux.Scale: %v", err))
+		return nil, fmt.Errorf("compact: Flux.Scale by %g: %w", s, err)
 	}
-	return out
+	return out, nil
 }

@@ -83,11 +83,8 @@ type derivEntry struct {
 // dJ/dθ of the raw objective J = Result.ObjectiveQ2() for each requested
 // parameter into grad (len(grad) == len(params)). The Result of the
 // forward solve is returned and is bit-identical to SolveChannels on the
-// same design. Requires the PropExpm propagation mode.
+// same design.
 func (e *Evaluator) SolveGradient(channels []Channel, params []GradParam, grad mat.Vec) (*Result, error) {
-	if e.prop != PropExpm {
-		return nil, fmt.Errorf("compact: SolveGradient requires exact (expm) propagation; evaluator uses RK4")
-	}
 	if len(grad) != len(params) {
 		return nil, fmt.Errorf("compact: gradient storage holds %d entries, want %d", len(grad), len(params))
 	}

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bvp"
+	"repro/internal/mat"
 )
 
 // maxAbsRel returns the largest |a[i]−b[i]| relative to the largest |b|.
@@ -25,10 +28,152 @@ func maxAbsRel(a, b []float64) float64 {
 	return diff / scale
 }
 
-// Exact exponential propagation must agree with RK4 once RK4's step budget
-// is fine enough for its truncation error to vanish — the cross-validation
-// that pins the closed-form piece maps to the historical integrator, on
-// both model forms.
+// rk4SubSteps is the reference's RK4 resolution in steps per dense sample:
+// 3 200 steps over the length at the 400 dense samples.
+const rk4SubSteps = 8
+
+// rk4 advances x in place over [a, b] with n classical RK4 steps of the
+// right-hand side f, calling sample (if not nil) after step i = 1 … n.
+func rk4(f func(dst mat.Vec, z float64, x mat.Vec), a, b float64, x mat.Vec, n int, sample func(i int, x mat.Vec)) {
+	k1, k2, k3, k4, tmp := mat.NewVec(len(x)), mat.NewVec(len(x)), mat.NewVec(len(x)), mat.NewVec(len(x)), mat.NewVec(len(x))
+	h := (b - a) / float64(n)
+	for i := 0; i < n; i++ {
+		z := a + float64(i)*h
+		f(k1, z, x)
+		f(k2, z+0.5*h, x.AddScaledInto(tmp, 0.5*h, k1))
+		f(k3, z+0.5*h, x.AddScaledInto(tmp, 0.5*h, k2))
+		f(k4, z+h, x.AddScaledInto(tmp, h, k3))
+		for j := range x {
+			x[j] += h / 6 * (k1[j] + 2*k2[j] + 2*k3[j] + k4[j])
+		}
+		if sample != nil {
+			sample(i+1, x)
+		}
+	}
+}
+
+// rk4Reference solves the model of chans in the form SolveChannels picks,
+// with bvp.Solve on the evaluator's piece-aligned interfaces, but
+// integrates each piece's governing equations by fixed-step RK4 instead of
+// applying its exact maps: Transition propagates a basis, and Propagate
+// records every rk4SubSteps-th step, so the reference samples the grid of
+// the exact path.
+func rk4Reference(t *testing.T, p Params, chans []Channel) *Result {
+	t.Helper()
+	ev := NewEvaluator(p)
+	m := &Model{Params: p, Channels: chans}
+	elim := len(chans) == 1
+	dim := statePerChannel * len(chans)
+	if elim {
+		dim = elimDim
+	}
+	// piece returns the right-hand side of the piece [a, b] (without its
+	// inputs when forced is false), from the coefficients at the piece
+	// midpoint, and the piece's dense sample count.
+	piece := func(a, b float64, forced bool) (func(dst mat.Vec, z float64, x mat.Vec), int, error) {
+		mid := 0.5 * (a + b)
+		pc := pieceCoeffs{
+			c:          make([]Coefficients, len(chans)),
+			fluxTop:    make([]float64, len(chans)),
+			fluxBottom: make([]float64, len(chans)),
+		}
+		for k, ch := range chans {
+			c, err := p.CoefficientsAt(ch.Width.At(mid), mid)
+			if err != nil {
+				return nil, 0, err
+			}
+			c.CvV *= ch.flowScale()
+			pc.c[k] = c
+			pc.fluxTop[k], pc.fluxBottom[k] = ch.FluxTop.At(mid), ch.FluxBottom.At(mid)
+		}
+		if elim {
+			ch := chans[0]
+			ent := &pieceEntry{c4: pc.c[0], f1: pc.fluxTop[0], f2: pc.fluxBottom[0],
+				qinA: ch.FluxTop.CumulativeTo(a) + ch.FluxBottom.CumulativeTo(a)}
+			return rhs4(ent, a, p.InletTemp, !forced), ev.pieceSteps4(a, b), nil
+		}
+		if !forced {
+			clear(pc.fluxTop)
+			clear(pc.fluxBottom)
+		}
+		return func(dst mat.Vec, _ float64, x mat.Vec) { m.derivative(dst, x, &pc) }, ev.pieceSteps5(a, b), nil
+	}
+	prob := &bvp.Problem{
+		Dim:    dim,
+		Length: p.Length,
+		Propagate: func(a, b float64, x0 mat.Vec) (*bvp.Trajectory, error) {
+			f, steps, err := piece(a, b, true)
+			if err != nil {
+				return nil, err
+			}
+			h := (b - a) / float64(steps)
+			tr := &bvp.Trajectory{}
+			tr.Append(a, x0)
+			rk4(f, a, b, x0.Clone(), rk4SubSteps*steps, func(i int, x mat.Vec) {
+				if i%rk4SubSteps == 0 {
+					tr.Append(a+float64(i/rk4SubSteps)*h, x)
+				}
+			})
+			tr.Z[steps] = b
+			return tr, nil
+		},
+		Transition: func(a, b float64) (*mat.Dense, mat.Vec, error) {
+			forced, steps, err := piece(a, b, true)
+			if err != nil {
+				return nil, nil, err
+			}
+			hom, _, err := piece(a, b, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			psi := mat.NewVec(dim)
+			rk4(forced, a, b, psi, rk4SubSteps*steps, nil)
+			phi := mat.NewDense(dim, dim)
+			for j := 0; j < dim; j++ {
+				col := mat.NewVec(dim)
+				col[j] = 1
+				rk4(hom, a, b, col, rk4SubSteps*steps, nil)
+				for r, v := range col {
+					phi.Set(r, j, v)
+				}
+			}
+			return phi, psi, nil
+		},
+		Interfaces: ev.interfaces(m.breakpoints(), m.shootingIntervals()),
+	}
+	if elim {
+		prob.X0Base = mat.Vec{0, 0, 0, 0}
+		prob.X0Modes = []mat.Vec{{1, 0, 0, 0}, {0, 1, 0, 0}}
+		prob.TerminalZero = []int{2, 3}
+	} else {
+		prob.X0Base = mat.NewVec(dim)
+		for k := range chans {
+			base := statePerChannel * k
+			prob.X0Base[base+idxTC] = p.InletTemp
+			m1, m2 := mat.NewVec(dim), mat.NewVec(dim)
+			m1[base+idxT1], m2[base+idxT2] = 1, 1
+			prob.X0Modes = append(prob.X0Modes, m1, m2)
+			prob.TerminalZero = append(prob.TerminalZero, base+idxQ1, base+idxQ2)
+		}
+	}
+	sol, err := bvp.Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !elim {
+		return m.newResult(sol)
+	}
+	res, err := ev.eliminatedResult(chans[0], sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// Exact exponential propagation must agree with RK4 once RK4's steps are
+// fine enough for its truncation error to vanish — the cross-validation
+// that pins the closed-form piece maps to an independent integration of
+// the governing equations, on both model forms.
 func TestExpmCrossValidatesRK4FineSteps(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(11))
@@ -39,17 +184,13 @@ func TestExpmCrossValidatesRK4FineSteps(t *testing.T) {
 		{"eliminated", []Channel{testChannel(t, p, rng, 5, 3)}},
 		{"joint2", []Channel{testChannel(t, p, rng, 4, 2), testChannel(t, p, rng, 3, 4)}},
 	}
-	const steps = 3200
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			re, err := NewEvaluatorWith(p, steps, PropExpm).SolveChannels(tc.chans)
+			re, err := NewEvaluator(p).SolveChannels(tc.chans)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr, err := NewEvaluatorWith(p, steps, PropRK4).SolveChannels(tc.chans)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rr := rk4Reference(t, p, tc.chans)
 			if len(re.Z) != len(rr.Z) {
 				t.Fatalf("grid sizes differ: %d vs %d", len(re.Z), len(rr.Z))
 			}
@@ -144,7 +285,7 @@ func TestSolveGradientMatchesFD(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ev := NewEvaluator(p, 0)
+			ev := NewEvaluator(p)
 			params := widthFlowParams(tc.chans)
 			grad := make([]float64, len(params))
 			res, err := ev.SolveGradient(tc.chans, params, grad)
@@ -180,7 +321,7 @@ func TestSolveGradientMemoAndStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	chans := []Channel{testChannel(t, p, rng, 5, 2)}
 	params := widthFlowParams(chans)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 
 	g1 := make([]float64, len(params))
 	if _, err := ev.SolveGradient(chans, params, g1); err != nil {
@@ -215,20 +356,14 @@ func TestSolveGradientMemoAndStats(t *testing.T) {
 	}
 }
 
-// Guard rails: the adjoint path requires expm propagation and validates
-// its parameter list.
+// Guard rails: the adjoint path validates its parameter list.
 func TestSolveGradientGuards(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(3))
 	chans := []Channel{testChannel(t, p, rng, 3, 2)}
 	grad := make([]float64, 1)
 
-	rk := NewEvaluatorWith(p, 0, PropRK4)
-	if _, err := rk.SolveGradient(chans, []GradParam{{Kind: GradFlow}}, grad); err == nil {
-		t.Fatal("expected error for SolveGradient on an RK4 evaluator")
-	}
-
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	bad := []struct {
 		name   string
 		params []GradParam
@@ -252,7 +387,7 @@ func BenchmarkGradientFD(b *testing.B) {
 	p := DefaultParams()
 	const segs = 20
 	base := benchChannel(b, p, segs)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	fd := func() {
 		r0, err := ev.SolveEliminated(base)
 		if err != nil {
@@ -283,7 +418,7 @@ func BenchmarkGradientAdjoint(b *testing.B) {
 	p := DefaultParams()
 	const segs = 20
 	base := benchChannel(b, p, segs)
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(p)
 	params := make([]GradParam, segs)
 	for s := range params {
 		params[s] = GradParam{Kind: GradWidth, Segment: s}

@@ -38,16 +38,16 @@ func (c Channel) flowScale() float64 {
 }
 
 // Model is an instance of the analytical thermal model: N modeled channel
-// columns side by side between two active layers.
+// columns side by side between two active layers. Each smooth piece of the
+// width and flux segmentation is propagated by its exact matrix-exponential
+// map; the reported profiles sample the length at 400 points, distributed
+// across the pieces.
 type Model struct {
 	// Params holds geometry and materials.
 	Params Params
 	// Channels are the modeled columns, ordered along the lateral (y)
 	// axis; adjacent entries exchange heat through lateral conduction.
 	Channels []Channel
-	// Steps is the total RK4 step budget over the length (distributed
-	// across the smooth pieces). Zero selects 400.
-	Steps int
 }
 
 // statePerChannel is the dimension of one column's state [T1 T2 q1 q2 TC].
@@ -213,7 +213,7 @@ func (m *Model) shootingIntervals() int {
 // an Evaluator directly on hot paths to amortize transition maps and solver
 // scratch across solves.
 func (m *Model) Solve() (*Result, error) {
-	return NewEvaluator(m.Params, m.Steps).Solve(m.Channels)
+	return NewEvaluator(m.Params).Solve(m.Channels)
 }
 
 // newResult unpacks a BVP trajectory into per-channel sampled profiles.

@@ -18,9 +18,9 @@
 //
 // with adiabatic boundary conditions q_i(0) = q_i(d) = 0 (Eq. 5). The
 // system is linear time-varying (coefficients depend on z through the
-// piecewise-constant width profile), so it is solved exactly by
-// superposition shooting (package bvp), integrating each smooth piece with
-// RK4.
+// piecewise-constant width profile), so it is solved by multiple shooting
+// (package bvp) over the smooth pieces, each propagated by its exact
+// matrix-exponential map (expm.go).
 //
 // The paper's published 4-state form (Eq. 3/4) eliminates TC through global
 // energy conservation; that variant is implemented for the single-channel

@@ -133,8 +133,6 @@ type Spec struct {
 	Inner optimize.Options
 	// OuterIterations bounds the augmented-Lagrangian outer loop (0 → 8).
 	OuterIterations int
-	// Steps is the integration step budget of the compact model (0 → 400).
-	Steps int
 	// InitialWidth seeds the optimization (0 selects the upper bound,
 	// which is always pressure-feasible).
 	InitialWidth float64
@@ -253,7 +251,7 @@ type SolveStats struct {
 	// solve plus one adjoint pass each; zero in finite-difference mode.
 	GradientEvaluations int
 	// TransitionHits and TransitionMisses count evaluator piece-transition
-	// cache lookups; a hit skips a full basis propagation.
+	// cache lookups; a hit skips the piece's matrix exponentials.
 	TransitionHits, TransitionMisses uint64
 	// DerivHits and DerivMisses count piece-derivative cache lookups made
 	// by the adjoint gradient path; a hit reuses a memoized Fréchet
@@ -309,7 +307,7 @@ func channelsFor(spec *Spec, profiles []*microchannel.Profile) []compact.Channel
 
 // buildModel assembles the joint compact model for the given profiles.
 func buildModel(spec *Spec, profiles []*microchannel.Profile) *compact.Model {
-	return &compact.Model{Params: spec.Params, Channels: channelsFor(spec, profiles), Steps: spec.Steps}
+	return &compact.Model{Params: spec.Params, Channels: channelsFor(spec, profiles)}
 }
 
 // Evaluate solves the joint model at the given width profiles and packages
@@ -335,7 +333,7 @@ func evaluateWith(ev *compact.Evaluator, spec *Spec, profiles []*microchannel.Pr
 	}
 	model := buildModel(spec, profiles)
 	if ev == nil {
-		ev = compact.NewEvaluator(spec.Params, spec.Steps)
+		ev = compact.NewEvaluator(spec.Params)
 	}
 	// Always the coupled 5-state solve: final reports include lateral
 	// conduction even for single-column specs.

@@ -179,7 +179,7 @@ func jointOptimize(spec *Spec) (*Result, error) {
 	n := len(spec.Channels)
 	k := spec.segments()
 	dim := n * k
-	ev := compact.NewEvaluator(spec.Params, spec.Steps)
+	ev := compact.NewEvaluator(spec.Params)
 
 	evals := 0
 	buildProfiles := func(x mat.Vec) ([]*microchannel.Profile, error) {
@@ -442,7 +442,7 @@ func decoupledOptimize(ctx context.Context, spec *Spec) (*Result, error) {
 func equalPressureOptimize(spec *Spec, target float64, warm *microchannel.Profile) (*Result, error) {
 	k := spec.segments()
 	evals := 0
-	ev := compact.NewEvaluator(spec.Params, spec.Steps)
+	ev := compact.NewEvaluator(spec.Params)
 
 	buildProfile := func(x mat.Vec) (*microchannel.Profile, error) {
 		return microchannel.NewProfile(widthsFromX(x, spec.Bounds), spec.Params.Length)

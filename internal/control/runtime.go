@@ -568,7 +568,7 @@ func (rs *RuntimeSpec) allocateFlow(spec *Spec, profiles []*microchannel.Profile
 	n := len(spec.Channels)
 	lo, hi := rs.scaleRange()
 	model := buildModel(spec, profiles)
-	ev := compact.NewEvaluator(spec.Params, spec.Steps)
+	ev := compact.NewEvaluator(spec.Params)
 	solveAt := func(scales []float64) (*compact.Result, error) {
 		for k := range model.Channels {
 			model.Channels[k].FlowScale = scales[k]

@@ -32,7 +32,7 @@ func OptimizeMinPumping(spec *Spec, maxGradientK float64) (*Result, error) {
 	}
 	k := spec.segments()
 	evals := 0
-	ev := compact.NewEvaluator(spec.Params, spec.Steps)
+	ev := compact.NewEvaluator(spec.Params)
 
 	buildProfile := func(x mat.Vec) (*microchannel.Profile, error) {
 		return microchannel.NewProfile(widthsFromX(x, spec.Bounds), spec.Params.Length)
@@ -164,7 +164,7 @@ func OptimizeFlowAllocationProfiles(spec *Spec, profiles []*microchannel.Profile
 	n := len(spec.Channels)
 
 	evals := 0
-	ev := compact.NewEvaluator(spec.Params, spec.Steps)
+	ev := compact.NewEvaluator(spec.Params)
 	// Profiles are fixed here; only the flow scales vary per evaluation,
 	// so one model is built up front and mutated in place.
 	model := buildModel(spec, profiles)

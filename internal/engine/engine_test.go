@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/control"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -318,6 +320,26 @@ func TestRuntimeJobsShareTraceDesign(t *testing.T) {
 	if st.Misses != 3 {
 		t.Errorf("%d executions, want 3 (two runtime jobs + one shared trace design; stats %+v)",
 			st.Misses, st)
+	}
+}
+
+// TestTransientOverflowingPhaseScale: a trace phase whose scale overflows
+// the base loads passes the checks, which compute no loads, and is then
+// the job's error naming the phase, not a panic.
+func TestTransientOverflowingPhaseScale(t *testing.T) {
+	scn := tracedScenario()
+	for k := range scn.Channels {
+		scn.Channels[k] = scenario.Channel{TopWcm2: []float64{50, 50}, BottomWcm2: []float64{50, 50}}
+	}
+	huge := 1e306
+	scn.Trace.Phases[1].Scale = &huge
+	job := &Job{Kind: KindTransient, Scenario: scn, Transient: &TransientSpec{WidthUM: 50}}
+	_, err := New(8).Run(context.Background(), job)
+	if err == nil {
+		t.Fatal("a transient job with an overflowing phase scale did not fail")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "scenario: trace phase 1: ") || strings.Contains(msg, "panicked") {
+		t.Fatalf("job error %q, want the phase named and no panic", msg)
 	}
 }
 

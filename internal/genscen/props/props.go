@@ -178,14 +178,11 @@ func Steady(f *scenario.File, tol Tolerances) error {
 	// peak-above-inlet by exactly 1.25.
 	const s = 1.25
 	scaled := *spec
-	scaled.Channels = make([]control.ChannelLoad, len(spec.Channels))
-	for k, ch := range spec.Channels {
-		scaled.Channels[k] = control.ChannelLoad{
-			FluxTop:    ch.FluxTop.Scale(s),
-			FluxBottom: ch.FluxBottom.Scale(s),
-		}
+	var hot *control.Result
+	scaled.Channels, err = scaleLoads(spec.Channels, s)
+	if err == nil {
+		hot, err = maxWidthBaseline(&scaled)
 	}
-	hot, err := maxWidthBaseline(&scaled)
 	if err != nil {
 		errs = append(errs, fmt.Errorf("props: power baseline: %w", err))
 	} else {
@@ -208,6 +205,24 @@ func Steady(f *scenario.File, tol Tolerances) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// scaleLoads returns the channel loads with both layers' fluxes scaled by
+// s.
+func scaleLoads(chans []control.ChannelLoad, s float64) ([]control.ChannelLoad, error) {
+	out := make([]control.ChannelLoad, len(chans))
+	for k, ch := range chans {
+		top, err := ch.FluxTop.Scale(s)
+		if err != nil {
+			return nil, err
+		}
+		bottom, err := ch.FluxBottom.Scale(s)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = control.ChannelLoad{FluxTop: top, FluxBottom: bottom}
+	}
+	return out, nil
 }
 
 // MirrorAcrossChannels returns a copy of the file with both dies
@@ -368,7 +383,7 @@ func newGradientProbe(f *scenario.File) (*gradientProbe, error) {
 		}
 		params = kept
 	}
-	return &gradientProbe{chans: chans, params: params, ev: compact.NewEvaluator(spec.Params, spec.Steps)}, nil
+	return &gradientProbe{chans: chans, params: params, ev: compact.NewEvaluator(spec.Params)}, nil
 }
 
 // adjoint returns the adjoint gradient of the probed parameters.

@@ -84,8 +84,6 @@ type Stack struct {
 	// mirrors compact.Channel.FlowScale: the runtime valve actuation of
 	// the Qian-style flow-allocation baseline.
 	FlowScale FieldFunc
-	// SolveTol overrides the linear-solver tolerance (0 → 1e-9).
-	SolveTol float64
 }
 
 // Field is the resolved steady-state temperature field.
@@ -277,6 +275,9 @@ func (sys *system) unpack(x mat.Vec, iterations int, residual float64) *Field {
 	return f
 }
 
+// steadyTol is the relative residual tolerance of the steady solve.
+const steadyTol = 1e-9
+
 // Solve assembles and solves the steady-state thermal system.
 func (s *Stack) Solve() (*Field, error) {
 	sys, err := s.assemble()
@@ -291,17 +292,13 @@ func (s *Stack) Solve() (*Field, error) {
 		func(x, y, _ float64) float64 { return s.PowerTop(x, y) },
 		func(x, y, _ float64) float64 { return s.PowerBottom(x, y) }, 0)
 
-	tol := s.SolveTol
-	if tol <= 0 {
-		tol = 1e-9
-	}
 	// Warm start from the inlet temperature everywhere.
 	x0 := make(mat.Vec, nTot)
 	for i := range x0 {
 		x0[i] = p.InletTemp
 	}
 	res, err := sparse.BiCGSTAB(sys.g, rhs, sparse.SolveOptions{
-		Tol:     tol,
+		Tol:     steadyTol,
 		MaxIter: 40 * nTot,
 		X0:      x0,
 	})

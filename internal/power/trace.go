@@ -196,12 +196,14 @@ func DutyCycleTrace(loads []PhaseLoad, period, onFraction, idleScale float64) (*
 	if idleScale < 0 {
 		return nil, fmt.Errorf("power: negative idle scale %g", idleScale)
 	}
-	idle := make([]PhaseLoad, len(loads))
 	for k, ld := range loads {
 		if ld.Top == nil || ld.Bottom == nil {
 			return nil, fmt.Errorf("power: duty-cycle channel %d has nil flux", k)
 		}
-		idle[k] = PhaseLoad{Top: ld.Top.Scale(idleScale), Bottom: ld.Bottom.Scale(idleScale)}
+	}
+	idle, err := ScaleLoads(loads, idleScale)
+	if err != nil {
+		return nil, fmt.Errorf("power: duty-cycle idle phase: %w", err)
 	}
 	tr := &Trace{
 		Phases: []Phase{
@@ -218,11 +220,19 @@ func DutyCycleTrace(loads []PhaseLoad, period, onFraction, idleScale float64) (*
 
 // ScaleLoads returns a copy of the loads with both layers' fluxes scaled
 // — the building block for phase schedules expressed as multipliers of a
-// base map.
-func ScaleLoads(loads []PhaseLoad, s float64) []PhaseLoad {
+// base map. It fails when a scaled flux overflows.
+func ScaleLoads(loads []PhaseLoad, s float64) ([]PhaseLoad, error) {
 	out := make([]PhaseLoad, len(loads))
 	for k, ld := range loads {
-		out[k] = PhaseLoad{Top: ld.Top.Scale(s), Bottom: ld.Bottom.Scale(s)}
+		top, err := ld.Top.Scale(s)
+		if err != nil {
+			return nil, fmt.Errorf("power: channel %d top: %w", k, err)
+		}
+		bottom, err := ld.Bottom.Scale(s)
+		if err != nil {
+			return nil, fmt.Errorf("power: channel %d bottom: %w", k, err)
+		}
+		out[k] = PhaseLoad{Top: top, Bottom: bottom}
 	}
-	return out
+	return out, nil
 }

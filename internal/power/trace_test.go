@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compact"
@@ -153,6 +154,20 @@ func TestDutyCycleTrace(t *testing.T) {
 	}
 }
 
+// A scale that overflows a load is an error naming the channel, not a
+// panic, and so is a duty cycle's overflowing idle scale.
+func TestScaleLoadsOverflow(t *testing.T) {
+	loads := mkLoads(t, 50, 50)
+	if _, err := ScaleLoads(loads, 1e308); err == nil ||
+		!strings.Contains(err.Error(), "channel 0 top") || !strings.Contains(err.Error(), "Inf") {
+		t.Fatalf("overflowing scale: got %v", err)
+	}
+	if _, err := DutyCycleTrace(loads, 0.02, 0.5, 1e308); err == nil ||
+		!strings.Contains(err.Error(), "idle phase") {
+		t.Fatalf("overflowing idle scale: got %v", err)
+	}
+}
+
 func TestConstantTraceAndScale(t *testing.T) {
 	loads := mkLoads(t, 100)
 	tr, err := ConstantTrace(loads, 0.1)
@@ -162,7 +177,10 @@ func TestConstantTraceAndScale(t *testing.T) {
 	if tr.Duration() != 0.1 || tr.Channels() != 1 {
 		t.Fatal("shape")
 	}
-	scaled := ScaleLoads(loads, 0.25)
+	scaled, err := ScaleLoads(loads, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := scaled[0].Bottom.At(0); got != 25 {
 		t.Fatalf("scaled %v, want 25", got)
 	}

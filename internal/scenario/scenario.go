@@ -581,7 +581,11 @@ func (f *File) buildTrace(spec *control.Spec) (*power.Trace, error) {
 		out := &tr.Phases[i]
 		out.Duration = units.Milliseconds(ph.DurationMS)
 		if ph.Scale != nil {
-			out.Loads = power.ScaleLoads(base, *ph.Scale)
+			loads, err := power.ScaleLoads(base, *ph.Scale)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: trace phase %d: %w", i, err)
+			}
+			out.Loads = loads
 			continue
 		}
 		out.Loads = make([]power.PhaseLoad, len(ph.Channels))

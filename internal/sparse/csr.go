@@ -1,8 +1,8 @@
 // Package sparse implements the sparse linear-algebra kernel used by the
 // finite-volume grid thermal simulator: a COO assembly builder, CSR storage,
-// classic stationary smoothers (Jacobi, SOR) and a Jacobi-preconditioned
-// BiCGSTAB Krylov solver for the non-symmetric systems that coolant
-// advection produces.
+// a Jacobi-preconditioned BiCGSTAB Krylov solver for the non-symmetric
+// systems that coolant advection produces, a sparse direct LU (lu.go) and
+// the Krylov kernels of the reduced-order transient engine (arnoldi.go).
 package sparse
 
 import (
@@ -209,8 +209,7 @@ func (m *CSR) EachEntry(visit func(i, j int, v float64)) {
 }
 
 // IsDiagonallyDominant reports whether every row satisfies weak diagonal
-// dominance |a_ii| >= Σ_{j≠i} |a_ij| (a sufficient condition for the
-// stationary iterations to converge).
+// dominance |a_ii| >= Σ_{j≠i} |a_ij|.
 func (m *CSR) IsDiagonallyDominant() bool {
 	for i := 0; i < m.rows; i++ {
 		var diag, off float64

@@ -16,13 +16,13 @@ var ErrNoConvergence = errors.New("sparse: iterative solver did not converge")
 // inner product).
 var ErrBreakdown = errors.New("sparse: Krylov method breakdown")
 
-// SolveOptions configures the iterative solvers.
+// SolveOptions configures the iterative solver.
 type SolveOptions struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖₂ ≤ Tol·‖b‖₂.
 	// Zero selects the default 1e-10.
 	Tol float64
-	// MaxIter bounds the iteration count. Zero selects 10·n (BiCGSTAB)
-	// or 100·n (stationary methods).
+	// MaxIter bounds the iteration count. Zero selects 10·n, at least
+	// 200.
 	MaxIter int
 	// X0 optionally provides an initial guess; it is not modified.
 	X0 mat.Vec
@@ -161,98 +161,4 @@ func BiCGSTAB(a *CSR, b mat.Vec, opts SolveOptions) (Result, error) {
 	}
 	return Result{X: x, Iterations: maxIter, Residual: res},
 		fmt.Errorf("%w: residual %.3g after %d iterations (tol %.3g)", ErrNoConvergence, res, maxIter, tol)
-}
-
-// Jacobi performs the damped Jacobi iteration x ← x + ωD⁻¹(b − Ax) with
-// ω = 1. It requires a non-zero diagonal.
-func Jacobi(a *CSR, b mat.Vec, opts SolveOptions) (Result, error) {
-	return stationary(a, b, opts, 1.0, false)
-}
-
-// SOR performs successive over-relaxation with factor omega in (0, 2).
-// omega = 1 reduces to Gauss–Seidel.
-func SOR(a *CSR, b mat.Vec, omega float64, opts SolveOptions) (Result, error) {
-	if omega <= 0 || omega >= 2 {
-		return Result{}, fmt.Errorf("sparse: SOR factor %v outside (0, 2)", omega)
-	}
-	return stationary(a, b, opts, omega, true)
-}
-
-func stationary(a *CSR, b mat.Vec, opts SolveOptions, omega float64, gaussSeidel bool) (Result, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return Result{}, fmt.Errorf("%w: need square matrix, got %dx%d", ErrShape, a.Rows(), a.Cols())
-	}
-	if len(b) != n {
-		return Result{}, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), n)
-	}
-	diag := a.Diagonal()
-	for i, d := range diag {
-		if d == 0 {
-			return Result{}, fmt.Errorf("sparse: zero diagonal at row %d", i)
-		}
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100 * n
-		if maxIter < 1000 {
-			maxIter = 1000
-		}
-	}
-	tol := opts.tol()
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		return Result{X: make(mat.Vec, n)}, nil
-	}
-
-	x := make(mat.Vec, n)
-	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return Result{}, fmt.Errorf("%w: X0 length %d, want %d", ErrShape, len(opts.X0), n)
-		}
-		copy(x, opts.X0)
-	}
-	xNew := make(mat.Vec, n)
-	r := make(mat.Vec, n)
-	res := math.Inf(1)
-
-	for iter := 1; iter <= maxIter; iter++ {
-		if gaussSeidel {
-			for i := 0; i < n; i++ {
-				var s float64
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					j := a.colIdx[k]
-					if j != i {
-						s += a.values[k] * x[j]
-					}
-				}
-				gs := (b[i] - s) / diag[i]
-				x[i] = (1-omega)*x[i] + omega*gs
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				var s float64
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					j := a.colIdx[k]
-					if j != i {
-						s += a.values[k] * x[j]
-					}
-				}
-				xNew[i] = (b[i] - s) / diag[i]
-			}
-			copy(x, xNew)
-		}
-		if iter%8 == 0 || iter == maxIter {
-			a.MulVec(r, x)
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-			res = r.Norm2() / bNorm
-			if res <= tol {
-				return Result{X: x, Iterations: iter, Residual: res}, nil
-			}
-		}
-	}
-	return Result{X: x, Iterations: maxIter, Residual: res},
-		fmt.Errorf("%w: residual %.3g after %d iterations", ErrNoConvergence, res, maxIter)
 }

@@ -163,56 +163,6 @@ func TestBiCGSTABShapeErrors(t *testing.T) {
 	}
 }
 
-func TestJacobiAndSOR(t *testing.T) {
-	n := 30
-	m := buildLaplacian1D(n)
-	xTrue := make(mat.Vec, n)
-	for i := range xTrue {
-		xTrue[i] = float64(i%5) - 2
-	}
-	b := m.MulVec(nil, xTrue)
-
-	resJ, err := Jacobi(m, b, SolveOptions{Tol: 1e-10, MaxIter: 200000})
-	if err != nil {
-		t.Fatalf("Jacobi: %v", err)
-	}
-	if diff := mat.Sub(nil, resJ.X, xTrue).NormInf(); diff > 1e-6 {
-		t.Fatalf("Jacobi error %g", diff)
-	}
-
-	resS, err := SOR(m, b, 1.5, SolveOptions{Tol: 1e-10, MaxIter: 200000})
-	if err != nil {
-		t.Fatalf("SOR: %v", err)
-	}
-	if diff := mat.Sub(nil, resS.X, xTrue).NormInf(); diff > 1e-6 {
-		t.Fatalf("SOR error %g", diff)
-	}
-	if resS.Iterations >= resJ.Iterations {
-		t.Logf("note: SOR took %d iters vs Jacobi %d", resS.Iterations, resJ.Iterations)
-	}
-}
-
-func TestSORRejectsBadOmega(t *testing.T) {
-	m := buildLaplacian1D(3)
-	b := mat.Vec{1, 1, 1}
-	if _, err := SOR(m, b, 0, SolveOptions{}); err == nil {
-		t.Fatal("omega 0 must be rejected")
-	}
-	if _, err := SOR(m, b, 2, SolveOptions{}); err == nil {
-		t.Fatal("omega 2 must be rejected")
-	}
-}
-
-func TestStationaryZeroDiagonal(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	m := b.Build()
-	if _, err := Jacobi(m, mat.Vec{1, 1}, SolveOptions{}); err == nil {
-		t.Fatal("zero diagonal must be rejected")
-	}
-}
-
 func TestNoConvergenceReported(t *testing.T) {
 	m := buildLaplacian1D(50)
 	xTrue := make(mat.Vec, 50)
@@ -220,7 +170,7 @@ func TestNoConvergenceReported(t *testing.T) {
 		xTrue[i] = 1
 	}
 	b := m.MulVec(nil, xTrue)
-	_, err := Jacobi(m, b, SolveOptions{Tol: 1e-14, MaxIter: 8})
+	_, err := BiCGSTAB(m, b, SolveOptions{Tol: 1e-14, MaxIter: 8})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}
