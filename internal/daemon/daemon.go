@@ -27,9 +27,12 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -78,6 +81,10 @@ type jobState struct {
 	// Oversized jobs are not retained (see retainable) so the registry
 	// cannot pin maxTracked × maxJobBytes of job documents.
 	prep *channelmod.PreparedJob
+	// body is the SHA-256 of the latest request body that prepared prep:
+	// the state's one key in the body index, while the index maps it to
+	// this state.
+	body [sha256.Size]byte
 	// feed carries live point events while the submission executes; it
 	// is dropped on completion (replays then come from the cache).
 	feed *feed
@@ -98,7 +105,7 @@ const maxRetainedJobBytes = 256 << 10
 // retainable returns p when its canonical form is small enough to keep
 // in the registry, nil otherwise.
 func retainable(p *channelmod.PreparedJob) *channelmod.PreparedJob {
-	if b, err := json.Marshal(p.Job); err != nil || len(b) > maxRetainedJobBytes {
+	if p.CanonicalSize > maxRetainedJobBytes {
 		return nil
 	}
 	return p
@@ -131,6 +138,11 @@ type Server struct {
 	mu    sync.Mutex
 	jobs  map[string]*jobState
 	order []string // pruning order: insertion order, completed moved to back on completion
+	// bodies is the body index: the SHA-256 of a request body → the
+	// tracked state it last prepared. Only states that retain their job
+	// are indexed, each under one digest, and a state's digest leaves
+	// with it, so the registry bounds the index.
+	bodies map[[sha256.Size]byte]*jobState
 
 	// Graceful drain (see Shutdown): draining rejects new work,
 	// drainForce tells in-flight event streams to flush a terminal
@@ -145,6 +157,10 @@ type Server struct {
 	running   atomic.Int64
 	done      atomic.Uint64
 	failed    atomic.Uint64
+	// reused counts request bodies answered from the body index, decoded
+	// the ones that went to the JSON decoder.
+	reused  atomic.Uint64
+	decoded atomic.Uint64
 }
 
 // New returns a server over the given engine, scoped to the process
@@ -179,6 +195,7 @@ func NewOptions(ctx context.Context, eng *channelmod.Engine, opts Options) *Serv
 		metrics:    newOpsMetrics(),
 		maxTracked: maxTracked,
 		jobs:       make(map[string]*jobState),
+		bodies:     make(map[[sha256.Size]byte]*jobState),
 		drainForce: make(chan struct{}),
 	}
 }
@@ -186,7 +203,9 @@ func NewOptions(ctx context.Context, eng *channelmod.Engine, opts Options) *Serv
 // track registers a new state under s.mu and prunes the
 // least-recently-completed entries beyond maxTracked.
 func (s *Server) track(hash string, st *jobState) {
-	if _, exists := s.jobs[hash]; !exists {
+	if old, exists := s.jobs[hash]; exists {
+		s.unindex(old)
+	} else {
 		s.order = append(s.order, hash)
 	}
 	st.EventsURL = "/v1/jobs/" + hash + "/events"
@@ -199,6 +218,7 @@ func (s *Server) track(hash string, st *jobState) {
 	for _, h := range s.order {
 		old, ok := s.jobs[h]
 		if excess > 0 && ok && (old.Status == statusDone || old.Status == statusFailed) {
+			s.unindex(old)
 			delete(s.jobs, h)
 			excess--
 			continue
@@ -208,6 +228,26 @@ func (s *Server) track(hash string, st *jobState) {
 		}
 	}
 	s.order = kept
+}
+
+// index records under s.mu that the body with digest sum prepared the
+// tracked state st: the state's earlier digest leaves the index. A
+// state that retains no job is never indexed.
+func (s *Server) index(st *jobState, sum [sha256.Size]byte) {
+	if st.prep == nil || s.bodies[sum] == st {
+		return
+	}
+	s.unindex(st)
+	st.body = sum
+	s.bodies[sum] = st
+}
+
+// unindex removes a state's digest from the body index. Caller holds
+// s.mu.
+func (s *Server) unindex(st *jobState) {
+	if s.bodies[st.body] == st {
+		delete(s.bodies, st.body)
+	}
 }
 
 // markCompleted moves a hash to the back of the pruning order. Without
@@ -242,17 +282,40 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeJob reads, parses and canonicalizes the request body into a
-// prepared job (canonical form + content address), canonicalizing
-// exactly once per request.
-func decodeJob(w http.ResponseWriter, r *http.Request) (*channelmod.PreparedJob, error) {
+// decodeJob reads the request body into a prepared job (canonical form
+// + content address) and returns it with the body's SHA-256. The same
+// bytes always decode and prepare to the same job, so a body the index
+// knows gets the registry's retained job instead. Any other body must
+// hold one JSON document and nothing but whitespace after it; it is
+// decoded and prepared exactly once.
+func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) (*channelmod.PreparedJob, [sha256.Size]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	if err != nil {
+		return nil, [sha256.Size]byte{}, fmt.Errorf("decode job: %w", err)
+	}
+	sum := sha256.Sum256(body)
+	var p *channelmod.PreparedJob
+	s.mu.Lock()
+	if st := s.bodies[sum]; st != nil {
+		p = st.prep
+	}
+	s.mu.Unlock()
+	if p != nil {
+		s.reused.Add(1)
+		return p, sum, nil
+	}
+	s.decoded.Add(1)
 	var job channelmod.Job
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&job); err != nil {
-		return nil, fmt.Errorf("decode job: %w", err)
+		return nil, sum, fmt.Errorf("decode job: %w", err)
 	}
-	return channelmod.PrepareJob(&job)
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, sum, fmt.Errorf("decode job: unexpected data after the job document at offset %d", len(body)-len(rest))
+	}
+	p, err = channelmod.PrepareJob(&job)
+	return p, sum, err
 }
 
 // handleSubmit enqueues a job asynchronously and returns its content
@@ -265,7 +328,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	p, err := decodeJob(w, r)
+	p, sum, err := s.decodeJob(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -274,6 +337,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st, known := s.jobs[p.Hash]; known && st.Status != statusFailed {
 		_, cached := s.eng.Lookup(p.Hash)
 		if st.Status != statusDone || cached {
+			s.index(st, sum)
 			snapshot := *st
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, snapshot)
@@ -291,6 +355,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st := &jobState{ID: p.Hash, Kind: p.Job.Kind, Status: statusQueued, prep: retainable(p), feed: newFeed()}
 	s.track(p.Hash, st)
+	s.index(st, sum)
 	snapshot := *st
 	fd := st.feed
 	s.mu.Unlock()
@@ -420,7 +485,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
-	p, err := decodeJob(w, r)
+	p, sum, err := s.decodeJob(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -441,12 +506,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer release()
 	}
 	s.mu.Lock()
-	if st, known := s.jobs[p.Hash]; !known {
-		s.track(p.Hash, &jobState{ID: p.Hash, Kind: p.Job.Kind, Status: statusRunning, prep: retainable(p)})
+	st, known := s.jobs[p.Hash]
+	if !known {
+		st = &jobState{ID: p.Hash, Kind: p.Job.Kind, Status: statusRunning, prep: retainable(p)}
+		s.track(p.Hash, st)
 		s.submitted.Add(1)
 	} else if st.prep == nil {
 		st.prep = retainable(p)
 	}
+	s.index(st, sum)
 	s.mu.Unlock()
 
 	// The execution is detached from the request context: a
@@ -478,6 +546,7 @@ type statsResponse struct {
 	// SolveLatency summarizes the engine's execution latency (cache
 	// misses only); the full histogram is on /v1/metrics.
 	SolveLatency telemetry.SnapshotJSON `json:"solve_latency"`
+	Prepare      prepareCounts          `json:"prepare"`
 }
 
 type poolStats struct {
@@ -493,6 +562,17 @@ type jobCounts struct {
 	Done      uint64 `json:"done"`
 	Failed    uint64 `json:"failed"`
 	Tracked   int    `json:"tracked"`
+}
+
+// prepareCounts says how job bodies became prepared jobs: Reused from
+// the body index, or Decoded by the JSON decoder (successfully or not).
+type prepareCounts struct {
+	Reused  uint64 `json:"reused"`
+	Decoded uint64 `json:"decoded"`
+}
+
+func (s *Server) prepareCounts() prepareCounts {
+	return prepareCounts{Reused: s.reused.Load(), Decoded: s.decoded.Load()}
 }
 
 // jobCounts snapshots the submission counters (shared by /v1/stats and
@@ -522,6 +602,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"submit": limiterJSON(s.submitLim),
 		},
 		SolveLatency: s.eng.ExecLatency().JSON(),
+		Prepare:      s.prepareCounts(),
 	})
 }
 

@@ -245,6 +245,16 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts.URL+"/v1/run", `{"kind":"compare","scenario":{},"bogus":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+	// Data after the job document is rejected, not ignored: neither
+	// garbage nor a second document that would be silently dropped.
+	for _, path := range []string{"/v1/run", "/v1/jobs"} {
+		for _, tail := range []string{"garbage", ` {"kind":"compare"}`} {
+			resp, body := post(t, ts.URL+path, fastJobJSON+tail)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "decode job: ") {
+				t.Errorf("%s with trailing %q: status %d (%s), want 400 decode job", path, tail, resp.StatusCode, body)
+			}
+		}
+	}
 	if resp, _ := get(t, ts.URL+"/v1/jobs/deadbeef"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
@@ -258,7 +268,9 @@ func TestBadRequests(t *testing.T) {
 
 // TestFixtureChecksAgree: the scenario of every job document these tests
 // send that decodes passes the build-free checks job preparation runs
-// exactly when it passes the builders, with the same error text.
+// exactly when it passes the builders, with the same error text. A job
+// that prepares records the length of its canonical encoding, the size
+// retainable compares.
 func TestFixtureChecksAgree(t *testing.T) {
 	docs := []string{
 		fastJobJSON,
@@ -266,6 +278,8 @@ func TestFixtureChecksAgree(t *testing.T) {
 		`{"kind":"frobnicate","scenario":{}}`,
 		generatedSweepJSON(t, 11),
 		generatedSweepJSON(t, 77),
+		uniqueSweepJSON(3, 4),
+		oversizedJobJSON(t),
 	}
 	for i, doc := range docs {
 		var job channelmod.Job
@@ -276,6 +290,11 @@ func TestFixtureChecksAgree(t *testing.T) {
 		}
 		if err := scenariotest.CheckAgreement(&job.Scenario); err != nil {
 			t.Errorf("document %d: %v", i, err)
+		}
+		if p, err := channelmod.PrepareJob(&job); err == nil {
+			if b, _ := json.Marshal(p.Job); p.CanonicalSize != len(b) {
+				t.Errorf("document %d: canonical size %d, encoding %d bytes", i, p.CanonicalSize, len(b))
+			}
 		}
 	}
 }

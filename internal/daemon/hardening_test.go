@@ -113,10 +113,14 @@ func TestPruneEvictsLeastRecentlyCompleted(t *testing.T) {
 	}
 }
 
-// TestRegistryPruneHammer race-proves the registry: concurrent
-// submits, polls and stats reads against a registry small enough that
-// the pruning path runs constantly. Run with -race; the functional
-// assertion is that every job completes and no request errors.
+// TestRegistryPruneHammer race-proves the registry and its body index:
+// concurrent submits, resubmits, sync runs, polls and stats reads of a
+// few job bodies, each sent again and again, against a registry small
+// enough that the pruning path runs constantly, so body-index lookups
+// race the prune. Run with -race; the functional assertions are that
+// every request succeeds and every submission completes, and that the
+// index then holds no more digests than the registry holds states, each
+// resolving to the state it indexes.
 func TestRegistryPruneHammer(t *testing.T) {
 	eng := channelmod.NewEngine(64)
 	s := NewOptions(context.Background(), eng, Options{
@@ -126,32 +130,44 @@ func TestRegistryPruneHammer(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	const workers, jobsPer = 6, 4
+	// Eight bodies, each sent by three workers: twice to POST /v1/jobs
+	// and once to POST /v1/run per round.
+	const workers, rounds, distinct = 6, 4, 8
+	bodies := make([]string, distinct)
+	for i := range bodies {
+		bodies[i] = uniqueSweepJSON(i, 1)
+	}
+	submit := func(body string) (string, error) {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			return "", err
+		}
+		var st struct{ ID string }
+		derr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if derr != nil || (resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK) || st.ID == "" {
+			return "", fmt.Errorf("submit: status %d decode %v", resp.StatusCode, derr)
+		}
+		return st.ID, nil
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for j := 0; j < jobsPer; j++ {
-				body := uniqueSweepJSON(w*jobsPer+j, 1)
-				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			for j := 0; j < rounds; j++ {
+				body := bodies[(w+j*workers)%distinct]
+				id, err := submit(body)
 				if err != nil {
 					errs <- err
 					return
 				}
-				var st struct{ ID string }
-				derr := json.NewDecoder(resp.Body).Decode(&st)
-				resp.Body.Close()
-				if derr != nil || resp.StatusCode != http.StatusAccepted || st.ID == "" {
-					errs <- fmt.Errorf("submit: status %d decode %v", resp.StatusCode, derr)
-					return
-				}
-				// Interleave polls with stats/metrics reads so the prune
-				// races real registry readers.
+				// Interleave polls with resubmissions and stats/metrics
+				// reads so the prune races real registry readers.
 				deadline := time.Now().Add(30 * time.Second)
 				for {
-					r2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+					r2, err := http.Get(ts.URL + "/v1/jobs/" + id)
 					if err != nil {
 						errs <- err
 						return
@@ -163,16 +179,30 @@ func TestRegistryPruneHammer(t *testing.T) {
 						break
 					}
 					if ps.Status == "failed" {
-						errs <- fmt.Errorf("job %s failed", st.ID)
+						errs <- fmt.Errorf("job %s failed", id)
 						return
 					}
 					if time.Now().After(deadline) {
-						errs <- fmt.Errorf("job %s stuck", st.ID)
+						errs <- fmt.Errorf("job %s stuck", id)
+						return
+					}
+					if _, err := submit(body); err != nil {
+						errs <- err
 						return
 					}
 					if r3, err := http.Get(ts.URL + "/v1/stats"); err == nil {
 						r3.Body.Close()
 					}
+				}
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("run: status %d", resp.StatusCode)
+					return
 				}
 			}
 		}(w)
@@ -186,18 +216,28 @@ func TestRegistryPruneHammer(t *testing.T) {
 	_, body := get(t, ts.URL+"/v1/stats")
 	var stats struct {
 		Jobs struct {
-			Submitted, Done uint64
-			Tracked         int
+			Submitted, Done, Failed uint64
+			Tracked                 int
 		} `json:"jobs"`
+		Prepare prepareCounts `json:"prepare"`
 	}
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Jobs.Done != workers*jobsPer {
-		t.Errorf("done = %d, want %d: %s", stats.Jobs.Done, workers*jobsPer, body)
+	// Every sync run completes, and so does at least the first
+	// submission of each body.
+	if stats.Jobs.Failed != 0 || stats.Jobs.Done < workers*rounds+distinct {
+		t.Errorf("failed = %d, done = %d, want 0 and >= %d: %s", stats.Jobs.Failed, stats.Jobs.Done, workers*rounds+distinct, body)
 	}
 	if stats.Jobs.Tracked > 4+workers {
 		t.Errorf("tracked = %d, want <= maxTracked + inflight slack: %s", stats.Jobs.Tracked, body)
+	}
+	t.Logf("prepare: %d reused, %d decoded", stats.Prepare.Reused, stats.Prepare.Decoded)
+	if stats.Prepare.Reused == 0 {
+		t.Errorf("no body was answered from the index: %s", body)
+	}
+	if indexed, tracked := indexSize(t, s); indexed > tracked {
+		t.Errorf("index holds %d digests for %d tracked states", indexed, tracked)
 	}
 }
 

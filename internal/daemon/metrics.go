@@ -132,6 +132,7 @@ type metricsResponse struct {
 	SolveLatency telemetry.SnapshotJSON `json:"solve_latency"`
 	Cache        cacheJSON              `json:"cache"`
 	Jobs         jobCounts              `json:"jobs"`
+	Prepare      prepareCounts          `json:"prepare"`
 }
 
 // cacheJSON extends the engine's cache counters with the derived hit
@@ -164,7 +165,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Capacity:  cs.Capacity,
 			HitRatio:  hitRatio(cs.Hits, cs.Misses, cs.Coalesced),
 		},
-		Jobs: s.jobCounts(),
+		Jobs:    s.jobCounts(),
+		Prepare: s.prepareCounts(),
 	}
 	for _, name := range endpointNames {
 		m := s.metrics.byName[name]

@@ -41,8 +41,9 @@ func corpusJobs(f *scenario.File) []*engine.Job {
 // traces with scale and explicit-channel phases, runtime sections — and
 // on its explicit-channel projection, as jobs of every kind, the typed
 // copy equals the JSON round trip, and preparing either gives the same
-// verdict, canonical JSON and content address. Canonicalize's checks
-// agree with the builders throughout.
+// verdict, canonical JSON and content address, with the canonical size
+// the length of that JSON. Canonicalize's checks agree with the
+// builders throughout.
 func TestCloneMatchesJSONRoundTrip(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -112,5 +113,8 @@ func compareClones(t *testing.T, name string, j *engine.Job) {
 	b, _ := json.Marshal(pRef.Job)
 	if !bytes.Equal(a, b) || p.Hash != pRef.Hash {
 		t.Fatalf("%s: canonical forms differ:\n%s %s\n%s %s", name, a, p.Hash, b, pRef.Hash)
+	}
+	if p.CanonicalSize != len(a) {
+		t.Fatalf("%s: canonical size %d, encoding %d bytes", name, p.CanonicalSize, len(a))
 	}
 }

@@ -114,6 +114,10 @@ type Prepared struct {
 	Job *Job
 	// Hash is the content address.
 	Hash string
+	// CanonicalSize is the length in bytes of the canonical JSON
+	// encoding of Job (json.Marshal(Job)), the bytes Hash digests. It
+	// sizes the job without encoding it again.
+	CanonicalSize int
 }
 
 // PrepareJob canonicalizes a job once and computes its content address.
@@ -126,11 +130,11 @@ func PrepareJob(job *Job) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, err := canon.canonicalHash()
+	hash, size, err := canon.canonicalHash()
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Job: canon, Hash: hash}, nil
+	return &Prepared{Job: canon, Hash: hash, CanonicalSize: size}, nil
 }
 
 // Run canonicalizes and executes the job, serving it from the cache (or

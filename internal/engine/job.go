@@ -592,21 +592,23 @@ func (j *Job) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return c.canonicalHash()
+	hash, _, err := c.canonicalHash()
+	return hash, err
 }
 
-// canonicalHash hashes an already-canonical job.
+// canonicalHash hashes an already-canonical job and returns the length
+// of the canonical JSON it hashed.
 //
 //chanmod:hashdet
-func (j *Job) canonicalHash() (string, error) {
+func (j *Job) canonicalHash() (string, int, error) {
 	b, err := json.Marshal(j)
 	if err != nil {
-		return "", fmt.Errorf("engine: hash job: %w", err)
+		return "", 0, fmt.Errorf("engine: hash job: %w", err)
 	}
 	h := sha256.New()
 	h.Write([]byte(hashDomain))
 	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), len(b), nil
 }
 
 // clone deep-copies a job: the copy shares no pointer or backing array
